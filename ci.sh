@@ -17,6 +17,17 @@ cargo run -p xtask --offline --quiet -- simlint --baseline results/simlint_basel
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> benchmark build + stats unit tests (perfbench, its own cargo workspace)"
+# Compiles every public API the repository benchmark calls, so an API change
+# fails here instead of in the benchmark run. It must leave the benchmark's
+# files (perfbench/, BENCHMARK.json) exactly as checked in.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+if [ -n "$(git status --porcelain -- perfbench BENCHMARK.json)" ]; then
+    echo "the perfbench stage modified benchmark files:" >&2
+    git status --porcelain -- perfbench BENCHMARK.json >&2
+    exit 1
+fi
+
 echo "==> engine differential tests (timing wheel vs reference heap)"
 cargo test --offline -q -p overlap-core --features ref-heap --test engine_diff
 
@@ -51,7 +62,7 @@ cmp /tmp/store_cold.txt /tmp/store_warm.txt || {
 }
 rm -rf "$STORE_DIR" /tmp/store_cold.txt /tmp/store_warm.txt /tmp/store_cold.log /tmp/store_warm.log
 
-echo "==> perf snapshot (events/sec, packets/sec, lint lines/sec, peak RSS)"
+echo "==> perf snapshot (simlint lines/sec, peak RSS)"
 ./target/release/perf_snapshot > BENCH_simlint.json
 cat BENCH_simlint.json
 

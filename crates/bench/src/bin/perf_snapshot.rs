@@ -1,5 +1,6 @@
-//! Fixed-scenario performance snapshot: simulator event/packet throughput,
-//! simlint analysis throughput, and peak RSS, as one JSON document.
+//! simlint performance snapshot: full-workspace analysis throughput and
+//! peak RSS, as one JSON document. Simulator throughput lives in
+//! `bench_sim` (BENCH_sim.json), which times the paper scenario.
 //!
 //! Prints `BENCH_simlint.json` to stdout; CI regenerates the checked-in
 //! copy on every run:
@@ -10,11 +11,10 @@
 //!
 //! Timings are machine-dependent, so the snapshot is a reference point and
 //! a regression-hunting aid, **not** a byte-compared artifact (unlike the
-//! results tables). The workload is pinned — paper topology, CUBIC, minRTT,
-//! 4 virtual seconds, seed 1; full-workspace simlint pass — so numbers are
-//! comparable across commits on the same machine.
+//! results tables). The workload is pinned — a full-workspace simlint pass
+//! against the checked-in baseline — so numbers are comparable across
+//! commits on the same machine.
 
-use overlap_core::prelude::*;
 use std::time::Instant;
 use xtask::baseline::Baseline;
 use xtask::lint;
@@ -42,17 +42,6 @@ fn workspace_root() -> std::path::PathBuf {
 }
 
 fn main() {
-    // --- simulator leg: the paper scenario, timed wall-clock ---
-    let net = PaperNetwork::new();
-    let scenario = Scenario {
-        default_path: net.default_path,
-        ..Scenario::new(net.topology, net.paths)
-    };
-    let t0 = Instant::now();
-    let run = scenario.run();
-    let sim_elapsed = t0.elapsed().as_secs_f64();
-
-    // --- simlint leg: full workspace pass against the checked-in baseline ---
     let root = workspace_root();
     let files = lint::workspace_source_files(&root);
     let baseline = Baseline::load(&root.join("results/simlint_baseline.json")).unwrap_or_default();
@@ -70,25 +59,11 @@ fn main() {
         .unwrap_or_else(|| "null".to_string());
 
     println!("{{");
-    println!("  \"schema_version\": 1,");
+    println!("  \"schema_version\": 2,");
     println!("  \"bench\": \"simlint\",");
     println!(
         "  \"note\": \"timings are machine-dependent; regenerated by CI, not byte-compared\","
     );
-    println!("  \"sim\": {{");
-    println!("    \"scenario\": \"paper topology, CUBIC, minRTT, 4 s, seed 1\",");
-    println!("    \"events\": {},", run.events);
-    println!("    \"packets_delivered\": {},", run.packets_delivered);
-    println!("    \"elapsed_s\": {sim_elapsed:.3},");
-    println!(
-        "    \"events_per_sec\": {:.0},",
-        run.events as f64 / sim_elapsed
-    );
-    println!(
-        "    \"packets_per_sec\": {:.0}",
-        run.packets_delivered as f64 / sim_elapsed
-    );
-    println!("  }},");
     println!("  \"lint\": {{");
     println!("    \"files_checked\": {},", report.files_checked);
     println!("    \"lines\": {lint_lines},");

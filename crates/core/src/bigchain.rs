@@ -152,6 +152,13 @@ mod tests {
     fn sharded_dual_chain_matches_serial() {
         let build = || DualChainNet::scenario(SimDuration::from_millis(500));
         let serial = build().run();
+        // Pinned: the cross-traffic agents sit between the MPTCP sender and
+        // receiver in agent order, and that order feeds the hash.
+        assert_eq!(
+            serial.trace_hash, 0xed74_8c10_c94f_a275,
+            "dual-chain hash moved: {:#018x}",
+            serial.trace_hash
+        );
         for regions in [2usize, 4] {
             let sharded = build().with_regions(regions).run();
             assert_eq!(

@@ -8,7 +8,7 @@
 //! and fold in the LP ground truth.
 
 use mptcpsim::{
-    CcAlgo, MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent, SchedulerKind, SubflowConfig,
+    install_subflows, CcAlgo, MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent, SchedulerKind,
 };
 use netsim::{
     AgentId, CaptureConfig, CbrSource, DatagramSink, FaultSchedule, NodeId, Path, RoutingTables,
@@ -182,16 +182,10 @@ impl Scenario {
     /// pins every input of the solve.
     pub fn run_with_lp_cache(&self, lp_cache: Option<&lpsolve::LpCache>) -> RunResult {
         let lp = self.solve_lp(lp_cache);
-        let mut built = self.build_sim();
+        let (mut sim, ends) = self.build_sim();
         let end = SimTime::ZERO + self.duration;
-        if let Some(map) = &self.region_map {
-            built.sim.run_parallel_with_map(end, map);
-        } else if self.regions > 1 {
-            built.sim.run_parallel(end, self.regions);
-        } else {
-            built.sim.run_until(end);
-        }
-        self.collect(&built, lp)
+        sim.run(end, self.regions, self.region_map.as_deref());
+        self.collect(&sim, ends, lp)
     }
 
     /// Run the common prefix of a family of fault variants and snapshot it.
@@ -220,14 +214,12 @@ impl Scenario {
             t <= SimTime::ZERO + self.duration,
             "checkpoint time {t} beyond scenario end"
         );
-        let mut built = self.build_sim();
-        built.sim.run_until(t);
+        let (mut sim, ends) = self.build_sim();
+        sim.run(t, 1, None);
         ScenarioCheckpoint {
             scenario: self.clone(),
-            snapshot: built.sim.checkpoint(),
-            sender_id: built.sender_id,
-            receiver_id: built.receiver_id,
-            dst: built.dst,
+            snapshot: sim.checkpoint(),
+            ends,
         }
     }
 
@@ -241,7 +233,7 @@ impl Scenario {
 
     /// Construct the simulator, routing, and endpoint agents — everything
     /// up to (but not including) running the event loop.
-    fn build_sim(&self) -> BuiltSim {
+    fn build_sim(&self) -> (MptcpSim, Ends) {
         assert!(!self.paths.is_empty(), "need at least one path"); // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
                                                                    // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
         assert!(
@@ -251,36 +243,25 @@ impl Scenario {
         let src = self.paths[0].src(); // simlint: allow(panic-surface, reason = "non-empty is asserted two lines up")
         let dst = mptcpsim::common_destination(&self.paths);
 
-        // Routing: tag i+1 pins path i, installed bidirectionally.
+        // Routing: tag i+1 (`path_tag(i)`) pins path i, installed
+        // bidirectionally. Subflows go in default-first order, each keeping
+        // its path's canonical tag.
         let mut routing = RoutingTables::new(&self.topology);
-        for (i, p) in self.paths.iter().enumerate() {
-            routing.install_path(p, Self::path_tag(i));
-        }
+        let mut subflows = install_subflows(&mut routing, &self.paths, 1, 5000);
+        subflows.swap(0, self.default_path);
         for bg in &self.background {
             routing.install_default_routes_to(&self.topology, bg.to);
         }
 
-        // Subflows in default-first order, keeping each path's canonical tag.
-        let mut order: Vec<usize> = (0..self.paths.len()).collect();
-        order.swap(0, self.default_path);
-        let subflows: Vec<SubflowConfig> = order
-            .iter()
-            .map(|&ci| SubflowConfig {
-                tag: Self::path_tag(ci),
-                src_port: 5000 + ci as u16, // simlint: allow(truncating-cast, reason = "path counts are tiny (the paper uses three); u16 is not a real bound")
-                dst_port: 6000 + ci as u16, // simlint: allow(truncating-cast, reason = "path counts are tiny (the paper uses three); u16 is not a real bound")
-            })
-            .collect();
-
-        let mut sim = Simulator::new(self.topology.clone(), routing, self.seed);
-        match self.engine {
-            QueueEngine::Wheel => {}
-            #[cfg(feature = "ref-heap")]
-            QueueEngine::RefHeap => sim.use_reference_heap(),
-        }
-        sim.set_capture(CaptureConfig::receiver_side(dst));
-        sim.set_forward_jitter(self.forward_jitter);
-        sim.install_faults(&self.faults);
+        let mut sim = MptcpSim::new(
+            self.topology.clone(),
+            routing,
+            self.seed,
+            self.engine,
+            &[dst],
+        )
+        .with_faults(&self.faults);
+        sim.0.set_forward_jitter(self.forward_jitter);
         let mptcp_cfg = MptcpConfig {
             algo: self.algo,
             scheduler: self.scheduler,
@@ -289,11 +270,8 @@ impl Scenario {
             ecn: self.ecn,
             ..MptcpConfig::bulk(dst, subflows)
         };
-        let sender_id = sim.add_agent(
-            src,
-            Box::new(MptcpSenderAgent::new(mptcp_cfg)),
-            SimTime::ZERO,
-        );
+        // Agent order is hashed (see `MptcpSim`): sender, cross traffic, receiver.
+        let sender = sim.add_sender(src, mptcp_cfg, SimTime::ZERO);
         for bg in &self.background {
             assert!(
                 bg.from != src && bg.from != dst,
@@ -303,44 +281,26 @@ impl Scenario {
                 bg.to != src && bg.to != dst,
                 "cross traffic cannot share MPTCP hosts"
             );
-            sim.add_agent(
-                bg.from,
-                Box::new(CbrSource::new(bg.to, Tag::NONE, bg.rate, bg.packet_bytes)),
-                SimTime::ZERO,
-            );
-            sim.add_agent(bg.to, Box::new(DatagramSink::default()), SimTime::ZERO);
+            let cbr = CbrSource::new(bg.to, Tag::NONE, bg.rate, bg.packet_bytes);
+            sim.0.add_agent(bg.from, Box::new(cbr), SimTime::ZERO);
+            sim.0
+                .add_agent(bg.to, Box::new(DatagramSink::default()), SimTime::ZERO);
         }
-        let receiver = MptcpReceiverAgent::default();
-        let receiver = if self.sack {
-            receiver
-        } else {
-            receiver.without_sack()
-        };
-        let receiver_id = sim.add_agent(dst, Box::new(receiver), SimTime::ZERO);
-        BuiltSim {
-            sim,
-            sender_id,
-            receiver_id,
-            dst,
-        }
+        let receiver = sim.add_receiver(dst, self.sack);
+        (sim, (sender, receiver))
     }
 
     /// Fold a finished simulation into a [`RunResult`] (the tshark step,
     /// convergence analysis, and endpoint-state extraction).
-    fn collect(&self, built: &BuiltSim, lp: lpsolve::MaxThroughput) -> RunResult {
-        let BuiltSim {
-            sim,
-            sender_id,
-            receiver_id,
-            dst,
-        } = built;
-        let (sender_id, receiver_id, dst) = (*sender_id, *receiver_id, *dst);
+    fn collect(&self, sim: &MptcpSim, ends: Ends, lp: lpsolve::MaxThroughput) -> RunResult {
+        let (sender, receiver) = ends;
+        let dst = mptcpsim::common_destination(&self.paths);
         let end = SimTime::ZERO + self.duration;
 
         // Order-sensitive digest of the full capture stream: two runs of
         // the same scenario + seed must produce the same hash (the
         // double-run harness in [`crate::determinism`] relies on this).
-        let trace_hash = simtrace::TraceHasher::hash_records(sim.captures());
+        let trace_hash = sim.trace_hash();
         #[cfg(feature = "check")]
         {
             let violations =
@@ -414,21 +374,11 @@ impl Scenario {
         }
 
         // Pull endpoint state out of the simulator for the record.
-        let sender = sim
-            .agent(sender_id)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<MptcpSenderAgent>())
-            // simlint: allow(unwrap, reason = "agent installed as MptcpSenderAgent earlier in this fn")
-            .expect("sender agent");
+        let sender = sim.sender(sender);
         let subflow_stats: Vec<tcpsim::SenderStats> = (0..sender.subflow_count())
             .map(|i| *sender.subflow_sender(i).stats())
             .collect();
-        let receiver = sim
-            .agent(receiver_id)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
-            // simlint: allow(unwrap, reason = "agent installed as MptcpReceiverAgent earlier in this fn")
-            .expect("receiver agent");
+        let receiver = sim.receiver(receiver);
 
         RunResult {
             per_path,
@@ -449,13 +399,108 @@ impl Scenario {
     }
 }
 
-/// A constructed-but-not-yet-run simulation: the simulator plus the
-/// handles [`Scenario::collect`] needs afterwards.
-struct BuiltSim {
-    sim: Simulator,
-    sender_id: AgentId,
-    receiver_id: AgentId,
-    dst: NodeId,
+/// A scenario's two endpoints inside its [`MptcpSim`].
+type Ends = (SenderId, ReceiverId);
+
+/// The one way this crate builds, runs and reads back a simulation, for
+/// [`Scenario`] and the worldgen runners ([`crate::worldexp`]) alike.
+///
+/// Each agent added takes the next [`AgentId`] and start-event key, and
+/// both feed the trace hash: callers must never reorder their adds.
+pub(crate) struct MptcpSim(Simulator);
+
+/// The id of an agent [`MptcpSim::add_sender`] installed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SenderId(AgentId);
+
+/// The id of an agent [`MptcpSim::add_receiver`] installed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReceiverId(AgentId);
+
+impl MptcpSim {
+    /// A simulator on `engine` that captures receiver-side events at every
+    /// node of `capture_at`.
+    pub(crate) fn new(
+        topology: Topology,
+        routing: RoutingTables,
+        seed: u64,
+        engine: QueueEngine,
+        capture_at: &[NodeId],
+    ) -> Self {
+        let mut sim = Simulator::new(topology, routing, seed);
+        match engine {
+            QueueEngine::Wheel => {}
+            #[cfg(feature = "ref-heap")]
+            QueueEngine::RefHeap => sim.use_reference_heap(),
+        }
+        if let Some((&first, rest)) = capture_at.split_first() {
+            let capture = CaptureConfig::receiver_side(first);
+            sim.set_capture(rest.iter().fold(capture, |c, &n| c.add_node(n)));
+        }
+        MptcpSim(sim)
+    }
+
+    /// Schedule `faults` (after any engine switch, before agents start).
+    pub(crate) fn with_faults(mut self, faults: &FaultSchedule) -> Self {
+        self.0.install_faults(faults);
+        self
+    }
+
+    /// Attach an MPTCP sender at `src`, starting at `start`.
+    pub(crate) fn add_sender(&mut self, src: NodeId, cfg: MptcpConfig, start: SimTime) -> SenderId {
+        let sender = Box::new(MptcpSenderAgent::new(cfg));
+        SenderId(self.0.add_agent(src, sender, start))
+    }
+
+    /// Attach an MPTCP receiver at `dst`, live from time zero.
+    pub(crate) fn add_receiver(&mut self, dst: NodeId, sack: bool) -> ReceiverId {
+        let mut receiver = MptcpReceiverAgent::default();
+        if !sack {
+            receiver = receiver.without_sack();
+        }
+        ReceiverId(self.0.add_agent(dst, Box::new(receiver), SimTime::ZERO))
+    }
+
+    /// Run to `end`: serially, across `regions` greedily partitioned
+    /// regions, or across the regions of an explicit node→region map.
+    pub(crate) fn run(&mut self, end: SimTime, regions: usize, region_map: Option<&[u32]>) {
+        match region_map {
+            Some(map) => self.0.run_parallel_with_map(end, map),
+            None => self.0.run_parallel(end, regions),
+        }
+    }
+
+    /// Order-sensitive digest of the capture stream.
+    pub(crate) fn trace_hash(&self) -> u64 {
+        simtrace::TraceHasher::hash_records(self.0.captures())
+    }
+
+    fn sender(&self, id: SenderId) -> &MptcpSenderAgent {
+        self.0
+            .agent(id.0)
+            .as_any()
+            .and_then(|a| a.downcast_ref::<MptcpSenderAgent>())
+            // simlint: allow(unwrap, reason = "a SenderId only comes from add_sender, which installs an MptcpSenderAgent")
+            .expect("sender agent")
+    }
+
+    pub(crate) fn receiver(&self, id: ReceiverId) -> &MptcpReceiverAgent {
+        self.0
+            .agent(id.0)
+            .as_any()
+            .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
+            // simlint: allow(unwrap, reason = "a ReceiverId only comes from add_receiver, which installs an MptcpReceiverAgent")
+            .expect("receiver agent")
+    }
+}
+
+/// Read-only access to the simulator's counters and captures.
+impl std::ops::Deref for MptcpSim {
+    type Target = Simulator;
+
+    fn deref(&self) -> &Simulator {
+        &self.0
+    }
 }
 
 /// A frozen scenario prefix that fault variants branch from.
@@ -469,9 +514,7 @@ struct BuiltSim {
 pub struct ScenarioCheckpoint {
     scenario: Scenario,
     snapshot: SimSnapshot,
-    sender_id: AgentId,
-    receiver_id: AgentId,
-    dst: NodeId,
+    ends: Ends,
 }
 
 impl ScenarioCheckpoint {
@@ -506,16 +549,9 @@ impl ScenarioCheckpoint {
             );
         }
         let lp = self.scenario.solve_lp(lp_cache);
-        let mut sim = Simulator::restore(&self.snapshot);
-        sim.install_faults(faults);
-        sim.run_until(SimTime::ZERO + self.scenario.duration);
-        let built = BuiltSim {
-            sim,
-            sender_id: self.sender_id,
-            receiver_id: self.receiver_id,
-            dst: self.dst,
-        };
-        self.scenario.collect(&built, lp)
+        let mut sim = MptcpSim(Simulator::restore(&self.snapshot)).with_faults(faults);
+        sim.run(SimTime::ZERO + self.scenario.duration, 1, None);
+        self.scenario.collect(&sim, self.ends, lp)
     }
 }
 

@@ -5,37 +5,36 @@
 //! scales the `worldgen` generators open up:
 //!
 //! * [`run_fabric`] — many concurrent MPTCP connections on a k-ary
-//!   fat-tree, subflows placed either by seeded ECMP hashing (overlap
-//!   happens by chance, as in a real datacenter) or by the max-disjoint
-//!   selector (the Nakasan-style comparison point). Every connection's
-//!   subflow pair is classified with the paper's Table-1 taxonomy
-//!   ([`worldgen::PairClass`]) *before* the run, from the same FIBs the
-//!   simulator forwards with, so goodput can be regressed against overlap
-//!   class.
+//!   fat-tree, subflows placed by seeded ECMP hashing (overlap by chance,
+//!   as in a real datacenter) or by the max-disjoint selector (the
+//!   Nakasan-style comparison point). Each subflow pair is classified with
+//!   the paper's Table-1 taxonomy ([`worldgen::PairClass`]) from the same
+//!   FIBs the simulator forwards with.
 //! * [`run_traffic`] — a heavy-tailed [`worldgen::TrafficProgram`]
-//!   (Poisson arrivals, bounded-Pareto sizes) compiled onto the
-//!   shared-bottleneck substrate: hundreds of MPTCP connections arriving,
-//!   transferring a fixed size, and stopping, all on the deterministic
-//!   event loop.
-//! * [`run_mobility`] — one MPTCP connection riding a wifi+cellular pair
-//!   through compiled handover fault schedules, against a fault-free
-//!   baseline of the same network.
-//! * [`crosscheck_rows`] — solo-connection packet runs on fat-tree
-//!   subflow pairs lined up against `fluidsim` equilibria, with the same
-//!   kind of tolerance band `fluid_table` established.
+//!   (Poisson arrivals, bounded-Pareto sizes) on a shared-bottleneck
+//!   substrate: hundreds of connections arrive, move a fixed size, stop.
+//! * [`run_mobility`] — one connection riding a wifi+cellular pair through
+//!   compiled handover faults, against a fault-free baseline.
+//! * [`crosscheck_rows`] — solo [`Scenario`] runs on fat-tree subflow
+//!   pairs lined up against `fluidsim` equilibria.
 //!
-//! [`worldgen_report`] fans the whole batch across the sweep runner's
-//! worker pool ([`crate::runner::execute_jobs`]), [`render_worldgen`]
-//! turns it into the checked-in `results/worldgen_table.txt`, and
-//! [`verify_worldgen`] asserts the acceptance gates (overlap ordering,
-//! serial-vs-region trace-hash identity, fluid band).
+//! The runners hold only their own logic: build the world, place and pin
+//! subflows, report each cell. They build, run and read back the simulator
+//! through the same crate-private `MptcpSim` as [`Scenario::run`]. Agent
+//! order is part of the result, since AgentIds and start-event keys feed
+//! the trace hash: every runner adds sender then receiver per connection,
+//! in connection order.
+//!
+//! [`worldgen_report`] fans the batch across the sweep runner's worker
+//! pool ([`crate::runner::execute_jobs`]), [`render_worldgen`] writes
+//! `results/worldgen_table.txt`, and [`verify_worldgen`] asserts its gates.
 
 use crate::fluidcheck::fluid_config;
 use crate::runner::{execute_jobs, RunnerConfig};
-use crate::scenario::Scenario;
+use crate::scenario::{MptcpSim, QueueEngine, ReceiverId, Scenario};
 use fluidsim::{solve, FluidLaw, FluidModel};
-use mptcpsim::{install_subflows, CcAlgo, MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent};
-use netsim::{AgentId, CaptureConfig, CaptureKind, NodeId, RoutingTables, Simulator, Tag};
+use mptcpsim::{install_subflows, CcAlgo, MptcpConfig};
+use netsim::{CaptureKind, FaultSchedule, NodeId, Path, RoutingTables, Tag};
 use simbase::{SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
 use std::fmt::Write as _;
 use tcpsim::AppSource;
@@ -222,84 +221,73 @@ fn pair_hosts(tree: &FatTree, connections: usize) -> Vec<(NodeId, NodeId)> {
 /// and, by the conservative engine's contract, of the cell *minus*
 /// `regions` (see [`verify_worldgen`]).
 pub fn run_fabric(cell: &FabricCell) -> FabricRun {
+    // simlint: allow(panic-surface, reason = "cell validation before any simulation work")
+    assert!(
+        cell.connections >= 1,
+        "FabricCell.connections must be at least 1"
+    );
     let tree = FatTree::build(&FatTreeConfig {
         k: cell.k,
         seed: cell.seed,
         ..FatTreeConfig::default()
     });
     let pairs = pair_hosts(&tree, cell.connections);
+    let paths: Vec<Vec<Path>> = pairs
+        .iter()
+        .enumerate()
+        .map(|(i, &(src, dst))| match cell.selector {
+            SubflowSelector::Ecmp => {
+                let conn_seed = SplitMix64::derive(cell.seed, STREAM_CONN | i as u64);
+                tree.ecmp_subflow_paths(src, dst, conn_seed, 2)
+            }
+            SubflowSelector::MaxDisjoint => tree.max_disjoint_paths(src, dst, 2),
+        })
+        .collect();
 
-    // Place subflows and pin them. Tag values restart at 1 for every
+    // Pin the subflows with tag routes. Tag values restart at 1 for every
     // connection: FIB entries are keyed (destination, tag), and every
     // connection owns a distinct host pair, so the routes cannot collide.
     let mut routing = tree.routing.clone();
-    let mut placements = Vec::with_capacity(pairs.len());
-    for (i, &(src, dst)) in pairs.iter().enumerate() {
-        let conn_seed = SplitMix64::derive(cell.seed, STREAM_CONN | i as u64);
-        let paths = match cell.selector {
-            SubflowSelector::Ecmp => tree.ecmp_subflow_paths(src, dst, conn_seed, 2),
-            SubflowSelector::MaxDisjoint => tree.max_disjoint_paths(src, dst, 2),
-        };
-        // simlint: allow(panic-surface, reason = "both selectors return exactly 2 paths")
-        let class = tree.classify_pair(&paths[0], &paths[1]);
-        let subflows = install_subflows(&mut routing, &paths, 1, 5000);
-        placements.push((src, dst, paths, class, subflows));
-    }
-    let rate = collision_rate(
-        &tree,
-        &placements
-            .iter()
-            .map(|(_, _, p, _, _)| p.clone())
-            .collect::<Vec<_>>(),
+    let subflows: Vec<_> = paths
+        .iter()
+        .map(|p| install_subflows(&mut routing, p, 1, 5000))
+        .collect();
+    let dsts: Vec<NodeId> = pairs.iter().map(|&(_, dst)| dst).collect();
+    let mut sim = MptcpSim::new(
+        tree.topology.clone(),
+        routing,
+        cell.seed,
+        QueueEngine::Wheel,
+        &dsts,
     );
-
-    let mut sim = Simulator::new(tree.topology.clone(), routing, cell.seed);
-    // simlint: allow(panic-surface, reason = "connections >= 1 asserted above, so placements is non-empty")
-    let mut capture = CaptureConfig::receiver_side(placements[0].1);
-    for (_, dst, _, _, _) in placements.iter().skip(1) {
-        capture = capture.add_node(*dst);
-    }
-    sim.set_capture(capture);
-
-    let mut receiver_ids: Vec<AgentId> = Vec::with_capacity(placements.len());
-    for (src, dst, _, _, subflows) in &placements {
-        let cfg = MptcpConfig {
-            algo: cell.algo,
-            ..MptcpConfig::bulk(*dst, subflows.clone())
-        };
-        sim.add_agent(*src, Box::new(MptcpSenderAgent::new(cfg)), SimTime::ZERO);
-        receiver_ids.push(sim.add_agent(
-            *dst,
-            Box::new(MptcpReceiverAgent::default()),
-            SimTime::ZERO,
-        ));
-    }
-
-    let end = SimTime::ZERO + cell.duration;
-    if cell.regions > 1 {
-        sim.run_parallel(end, cell.regions);
-    } else {
-        sim.run_until(end);
-    }
+    let receivers: Vec<ReceiverId> = pairs
+        .iter()
+        .zip(subflows)
+        .map(|(&(src, dst), subflows)| {
+            let cfg = MptcpConfig {
+                algo: cell.algo,
+                ..MptcpConfig::bulk(dst, subflows)
+            };
+            sim.add_sender(src, cfg, SimTime::ZERO);
+            sim.add_receiver(dst, true)
+        })
+        .collect();
+    sim.run(SimTime::ZERO + cell.duration, cell.regions, None);
 
     let secs = cell.duration.as_secs_f64();
-    let conns = placements
+    let conns = pairs
         .iter()
-        .zip(&receiver_ids)
+        .zip(&paths)
+        .zip(&receivers)
         .enumerate()
-        .map(|(index, ((src, dst, _, class, _), &rid))| {
-            let delivered = sim
-                .agent(rid)
-                .as_any()
-                .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
-                // simlint: allow(unwrap, reason = "agent installed as MptcpReceiverAgent above")
-                .expect("receiver agent")
-                .data_delivered();
+        .map(|(index, ((&(src, dst), p), &rid))| {
+            let delivered = sim.receiver(rid).data_delivered();
             ConnReport {
                 index,
-                src: *src,
-                dst: *dst,
-                class: *class,
+                src,
+                dst,
+                // simlint: allow(panic-surface, reason = "both selectors return exactly 2 paths")
+                class: tree.classify_pair(&p[0], &p[1]),
                 delivered,
                 goodput_mbps: delivered as f64 * 8.0 / secs / 1e6,
             }
@@ -309,8 +297,8 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
     FabricRun {
         cell: cell.clone(),
         conns,
-        collision_rate: rate,
-        trace_hash: simtrace::TraceHasher::hash_records(sim.captures()),
+        collision_rate: collision_rate(&tree, &paths),
+        trace_hash: sim.trace_hash(),
         events: sim.stats().events,
         drops: sim.stats().packets_dropped,
     }
@@ -390,65 +378,42 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         subflow_cfgs.push(install_subflows(&mut routing, &net.paths(i), 1, 5000));
     }
 
-    let mut sim = Simulator::new(net.topology.clone(), routing, cell.seed);
-    // simlint: allow(panic-surface, reason = "pairs >= 1 asserted above, so dsts is non-empty")
-    let mut capture = CaptureConfig::receiver_side(net.dsts[0]);
-    for &d in net.dsts.iter().skip(1) {
-        capture = capture.add_node(d);
-    }
-    sim.set_capture(capture);
-
+    let mut sim = MptcpSim::new(
+        net.topology.clone(),
+        routing,
+        cell.seed,
+        QueueEngine::Wheel,
+        &net.dsts,
+    );
+    // Receivers exist from t=0; each sender agent starts at its
+    // connection's arrival time (the agent-start event *is* the arrival).
+    // Arrivals past the deadline still get agents — they just never run —
+    // so the topology/agent layout is independent of the duration axis.
+    let receivers: Vec<ReceiverId> = program
+        .connections
+        .iter()
+        .zip(net.srcs.iter().zip(&net.dsts))
+        .zip(subflow_cfgs)
+        .map(|((conn, (&src, &dst)), subflows)| {
+            let cfg = MptcpConfig {
+                algo: cell.algo,
+                app: AppSource::Fixed(conn.size_bytes),
+                ..MptcpConfig::bulk(dst, subflows)
+            };
+            sim.add_sender(src, cfg, conn.start);
+            sim.add_receiver(dst, true)
+        })
+        .collect();
     let end = SimTime::ZERO + cell.duration;
-    let mut receiver_ids = Vec::with_capacity(cell.pairs);
-    let mut started = 0usize;
-    for (i, conn) in program.connections.iter().enumerate() {
-        // Receivers exist from t=0; each sender agent starts at its
-        // connection's arrival time (the agent-start event *is* the
-        // arrival). Arrivals past the deadline still get agents — they
-        // just never run — so the topology/agent layout is independent of
-        // the duration axis.
-        if conn.start < end {
-            started += 1;
-        }
-        let cfg = MptcpConfig {
-            algo: cell.algo,
-            app: AppSource::Fixed(conn.size_bytes),
-            // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net and subflow_cfgs were built for the same count")
-            ..MptcpConfig::bulk(net.dsts[i], subflow_cfgs[i].clone())
-        };
-        sim.add_agent(
-            // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net was built for the same count")
-            net.srcs[i],
-            Box::new(MptcpSenderAgent::new(cfg)),
-            conn.start,
-        );
-        receiver_ids.push(sim.add_agent(
-            // simlint: allow(panic-surface, reason = "i enumerates the program's pairs; net was built for the same count")
-            net.dsts[i],
-            Box::new(MptcpReceiverAgent::default()),
-            SimTime::ZERO,
-        ));
-    }
+    sim.run(end, cell.regions, None);
 
-    if cell.regions > 1 {
-        sim.run_parallel(end, cell.regions);
-    } else {
-        sim.run_until(end);
-    }
-
+    let started = program.connections.iter().filter(|c| c.start < end).count();
     let mut delivered = 0u64;
     let mut finished = 0usize;
-    for (i, &rid) in receiver_ids.iter().enumerate() {
-        let got = sim
-            .agent(rid)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
-            // simlint: allow(unwrap, reason = "agent installed as MptcpReceiverAgent above")
-            .expect("receiver agent")
-            .data_delivered();
+    for (conn, &rid) in program.connections.iter().zip(&receivers) {
+        let got = sim.receiver(rid).data_delivered();
         delivered += got;
-        // simlint: allow(panic-surface, reason = "receiver_ids and connections are index-aligned by the loop above")
-        if got >= program.connections[i].size_bytes {
+        if got >= conn.size_bytes {
             finished += 1;
         }
     }
@@ -460,7 +425,7 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         delivered,
         offered: program.total_bytes(),
         goodput_mbps: delivered as f64 * 8.0 / cell.duration.as_secs_f64() / 1e6,
-        trace_hash: simtrace::TraceHasher::hash_records(sim.captures()),
+        trace_hash: sim.trace_hash(),
         events: sim.stats().events,
     }
 }
@@ -491,37 +456,26 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
     let net_cfg = MobileNetConfig::default();
     let profile = MobilityProfile::default();
     let duration = profile.span();
-    let run = |with_faults: bool| {
-        let net = MobileNet::build(&net_cfg);
+    let net = MobileNet::build(&net_cfg);
+    let run = |faults: &FaultSchedule| {
         let mut routing = RoutingTables::new(&net.topology);
         let subflows = install_subflows(&mut routing, &net.paths(), 1, 5000);
-        let mut sim = Simulator::new(net.topology.clone(), routing, seed);
-        sim.set_capture(CaptureConfig::receiver_side(net.server));
-        if with_faults {
-            sim.install_faults(&profile.compile(&net, &net_cfg));
-        }
+        let mut sim = MptcpSim::new(
+            net.topology.clone(),
+            routing,
+            seed,
+            QueueEngine::Wheel,
+            &[net.server],
+        )
+        .with_faults(faults);
         let cfg = MptcpConfig {
             algo,
             ..MptcpConfig::bulk(net.server, subflows)
         };
-        sim.add_agent(
-            net.client,
-            Box::new(MptcpSenderAgent::new(cfg)),
-            SimTime::ZERO,
-        );
-        let rid = sim.add_agent(
-            net.server,
-            Box::new(MptcpReceiverAgent::default()),
-            SimTime::ZERO,
-        );
-        sim.run_until(SimTime::ZERO + duration);
-        let delivered = sim
-            .agent(rid)
-            .as_any()
-            .and_then(|a| a.downcast_ref::<MptcpReceiverAgent>())
-            // simlint: allow(unwrap, reason = "agent installed as MptcpReceiverAgent above")
-            .expect("receiver agent")
-            .data_delivered();
+        sim.add_sender(net.client, cfg, SimTime::ZERO);
+        let rid = sim.add_receiver(net.server, true);
+        sim.run(SimTime::ZERO + duration, 1, None);
+        let delivered = sim.receiver(rid).data_delivered();
         let (mut wifi, mut cell) = (0u64, 0u64);
         for rec in sim.captures() {
             if rec.kind == CaptureKind::Delivered && rec.node == net.server {
@@ -532,11 +486,10 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
                 }
             }
         }
-        let hash = simtrace::TraceHasher::hash_records(sim.captures());
-        (delivered, wifi, cell, hash)
+        (delivered, wifi, cell, sim.trace_hash())
     };
-    let (static_bytes, _, _, _) = run(false);
-    let (mobile_bytes, wifi_bytes, cell_bytes, trace_hash) = run(true);
+    let (static_bytes, _, _, _) = run(&FaultSchedule::new());
+    let (mobile_bytes, wifi_bytes, cell_bytes, trace_hash) = run(&profile.compile(&net, &net_cfg));
     let secs = duration.as_secs_f64();
     MobilityRun {
         algo,
@@ -710,6 +663,11 @@ impl WorldgenReport {
 /// worker-count independence; the identity gates additionally re-run two
 /// cells under the conservative parallel engine and record both hashes.
 pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> WorldgenReport {
+    // simlint: allow(panic-surface, reason = "config validation before any simulation work")
+    assert!(
+        !wcfg.fabric_seeds.is_empty() && !wcfg.traffic_pairs.is_empty(),
+        "WorldgenConfig.fabric_seeds and .traffic_pairs must be non-empty: the identity gates re-run their first cells"
+    );
     let fabric_cells: Vec<FabricCell> = wcfg
         .fabric_seeds
         .clone()
@@ -737,12 +695,12 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
     }
     let identity_fabric = FabricCell {
         regions: wcfg.identity_regions,
-        // simlint: allow(panic-surface, reason = "WorldgenConfig always carries at least one fabric seed")
+        // simlint: allow(panic-surface, reason = "fabric_seeds is non-empty, asserted at the top of this fn")
         ..fabric_cells[0].clone()
     };
     let identity_traffic = TrafficCell {
         regions: wcfg.identity_regions,
-        // simlint: allow(panic-surface, reason = "WorldgenConfig always carries at least one traffic population")
+        // simlint: allow(panic-surface, reason = "traffic_pairs is non-empty, asserted at the top of this fn")
         ..traffic_cells[0].clone()
     };
     enum Job<'a> {
@@ -784,7 +742,7 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
                 "fabric k={} seed={} serial vs {} regions",
                 identity_fabric.k, identity_fabric.seed, identity_fabric.regions
             ),
-            // simlint: allow(panic-surface, reason = "one serial run per fabric cell remains after the identity split")
+            // simlint: allow(panic-surface, reason = "fabric_cells is non-empty and each keeps its serial run after the identity split")
             fabric[0].trace_hash,
             fabric_parallel.trace_hash,
         ),
@@ -793,7 +751,7 @@ pub fn worldgen_report(wcfg: &WorldgenConfig, runner: &RunnerConfig) -> Worldgen
                 "traffic pairs={} serial vs {} regions",
                 identity_traffic.pairs, identity_traffic.regions
             ),
-            // simlint: allow(panic-surface, reason = "one serial run per traffic cell remains after the identity split")
+            // simlint: allow(panic-surface, reason = "traffic_cells is non-empty and each keeps its serial run after the identity split")
             traffic[0].trace_hash,
             traffic_parallel.trace_hash,
         ),
@@ -1001,7 +959,7 @@ pub fn render_worldgen(report: &WorldgenReport) -> String {
             format!("{:?}", m.algo),
             m.static_mbps,
             m.mobile_mbps,
-            // simlint: allow(panic-surface, reason = "f64 division; verify_worldgen already rejected a zero static rate")
+            // simlint: allow(panic-surface, reason = "f64 division never panics; a zero static rate renders as inf")
             m.mobile_mbps / m.static_mbps * 100.0,
             m.wifi_bytes as f64 / 1e6,
             m.cell_bytes as f64 / 1e6,
@@ -1112,6 +1070,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "FabricCell.connections must be at least 1")]
+    fn fabric_cell_without_connections_is_rejected() {
+        run_fabric(&FabricCell {
+            connections: 0,
+            ..FabricCell::table(0, SubflowSelector::Ecmp)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "WorldgenConfig.fabric_seeds and .traffic_pairs must be non-empty")]
+    fn worldgen_report_rejects_an_empty_fabric_axis() {
+        let wcfg = WorldgenConfig {
+            fabric_seeds: 0..0,
+            ..WorldgenConfig::smoke()
+        };
+        worldgen_report(&wcfg, &RunnerConfig::serial());
+    }
+
+    #[test]
     fn traffic_cells_run_hundreds_of_connections() {
         let cell = TrafficCell {
             duration: SimDuration::from_millis(600),
@@ -1131,5 +1108,10 @@ mod tests {
         assert!(m.mobile_mbps > 0.0);
         assert!(m.mobile_mbps <= m.static_mbps);
         assert!(m.cell_bytes > 0, "cellular must carry handover bytes");
+        assert_eq!(
+            m.trace_hash, 0xe49e_0564_fef4_b1a7,
+            "mobility hash moved: {:#018x}",
+            m.trace_hash
+        );
     }
 }

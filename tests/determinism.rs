@@ -7,7 +7,9 @@
 //! order-sensitive trace hash, so a single reordered packet fails the test.
 
 use mptcp_overlap::overlap_core::determinism::{assert_deterministic, double_run};
-use mptcp_overlap::overlap_core::{PaperNetwork, Scenario};
+use mptcp_overlap::overlap_core::{
+    run_fabric, run_traffic, FabricCell, PaperNetwork, Scenario, SubflowSelector, TrafficCell,
+};
 use mptcp_overlap::prelude::*;
 
 /// A Figure-1 scenario short enough for CI but long enough to reach loss
@@ -87,4 +89,49 @@ fn algorithms_produce_distinct_traces() {
     hashes.sort_unstable();
     hashes.dedup();
     assert_eq!(hashes.len(), 5, "all five algorithms must trace distinctly");
+}
+
+// Golden trace hashes. The tests above only compare runs with each other;
+// these pin absolute digests, so a refactor of the simulator build path
+// (agent order, start-event keys, capture set) cannot shift every run
+// alike and still pass. A deliberate behaviour change re-pins them once,
+// with a CHANGES.md note saying why.
+
+#[test]
+fn paper_scenario_trace_hash_is_pinned() {
+    let s = paper_scenario(CcAlgo::Lia, 7);
+    assert_eq!(s.default_path, 1);
+    let hash = s.run().trace_hash;
+    assert_eq!(
+        hash, 0x9049_eb82_792b_6fab,
+        "paper LIA hash moved: {hash:#018x}"
+    );
+}
+
+#[test]
+fn fabric_cell_trace_hash_is_pinned() {
+    let run = run_fabric(&FabricCell {
+        duration: SimDuration::from_millis(150),
+        ..FabricCell::table(0, SubflowSelector::Ecmp)
+    });
+    assert_eq!(run.conns.len(), 8);
+    assert_eq!(
+        run.trace_hash, 0x1b5f_e0e8_9fc0_3402,
+        "fabric k=4 hash moved: {:#018x}",
+        run.trace_hash
+    );
+}
+
+#[test]
+fn traffic_cell_trace_hash_is_pinned() {
+    let run = run_traffic(&TrafficCell {
+        duration: SimDuration::from_millis(300),
+        ..TrafficCell::table(20, 1)
+    });
+    assert!(run.delivered > 0);
+    assert_eq!(
+        run.trace_hash, 0x51b5_191c_6ac8_01cd,
+        "traffic 20-pair hash moved: {:#018x}",
+        run.trace_hash
+    );
 }
