@@ -117,4 +117,13 @@ cmp /tmp/failover_table_regen.txt results/failover_table.txt || {
 }
 rm -f /tmp/failover_table_regen.txt
 
+echo "==> table2.txt byte-diff regeneration check"
+./target/release/table2_sweep 2>/dev/null >/tmp/table2_regen.txt
+cmp /tmp/table2_regen.txt results/table2.txt || {
+    echo "results/table2.txt is stale: regenerate with" >&2
+    echo "  cargo run -p bench --bin table2_sweep --release > results/table2.txt" >&2
+    exit 1
+}
+rm -f /tmp/table2_regen.txt
+
 echo "CI OK"

@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod bigchain;
+mod collect;
 pub mod determinism;
 pub mod experiments;
 pub mod failover;

@@ -7,6 +7,7 @@
 //! simulation, sample the receiver-side capture per tag (the tshark step),
 //! and fold in the LP ground truth.
 
+use crate::collect::Collector;
 use mptcpsim::{
     install_subflows, CcAlgo, MptcpConfig, MptcpReceiverAgent, MptcpSenderAgent, SchedulerKind,
 };
@@ -16,7 +17,7 @@ use netsim::{
 };
 use simbase::Bandwidth;
 use simbase::{SimDuration, SimTime};
-use simtrace::{ConvergenceReport, SamplerConfig, ThroughputSampler, TimeSeries};
+use simtrace::{ConvergenceReport, SamplerConfig, TimeSeries};
 use tcpsim::AppSource;
 
 /// A complete experiment configuration.
@@ -233,7 +234,7 @@ impl Scenario {
 
     /// Construct the simulator, routing, and endpoint agents — everything
     /// up to (but not including) running the event loop.
-    fn build_sim(&self) -> (MptcpSim, Ends) {
+    pub(crate) fn build_sim(&self) -> (MptcpSim, Ends) {
         assert!(!self.paths.is_empty(), "need at least one path"); // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
                                                                    // simlint: allow(panic-surface, reason = "argument validation before the simulation starts")
         assert!(
@@ -253,12 +254,16 @@ impl Scenario {
             routing.install_default_routes_to(&self.topology, bg.to);
         }
 
+        let collector = Collector::hash_only().with_sampler(&self.sampler_config());
+        #[cfg(feature = "check")]
+        let collector = collector.with_checks();
         let mut sim = MptcpSim::new(
             self.topology.clone(),
             routing,
             self.seed,
             self.engine,
             &[dst],
+            collector,
         )
         .with_faults(&self.faults);
         sim.0.set_forward_jitter(self.forward_jitter);
@@ -290,21 +295,30 @@ impl Scenario {
         (sim, (sender, receiver))
     }
 
+    /// The tshark step's configuration: bin receiver-side deliveries per
+    /// tag over the run. Every registered tag is pre-seeded so a fully
+    /// starved path still shows up as an (all-zero) series in per-path
+    /// reports.
+    pub(crate) fn sampler_config(&self) -> SamplerConfig {
+        let dst = mptcpsim::common_destination(&self.paths);
+        SamplerConfig::tshark_like(dst, self.sample_bin, SimTime::ZERO + self.duration)
+            .with_tags((0..self.paths.len()).map(Self::path_tag))
+    }
+
     /// Fold a finished simulation into a [`RunResult`] (the tshark step,
     /// convergence analysis, and endpoint-state extraction).
     fn collect(&self, sim: &MptcpSim, ends: Ends, lp: lpsolve::MaxThroughput) -> RunResult {
         let (sender, receiver) = ends;
-        let dst = mptcpsim::common_destination(&self.paths);
         let end = SimTime::ZERO + self.duration;
+        let collector = sim.collector();
 
         // Order-sensitive digest of the full capture stream: two runs of
         // the same scenario + seed must produce the same hash (the
         // double-run harness in [`crate::determinism`] relies on this).
-        let trace_hash = sim.trace_hash();
+        let trace_hash = collector.trace_hash();
         #[cfg(feature = "check")]
         {
-            let violations =
-                simtrace::check_trace(sim.captures(), &mut simtrace::default_invariants());
+            let violations = collector.violations();
             assert!(
                 violations.is_empty(),
                 "trace invariants violated:\n{}",
@@ -316,14 +330,12 @@ impl Scenario {
             );
         }
 
-        // tshark step: bin receiver-side deliveries per tag. Every
-        // registered tag is pre-seeded so a fully starved path still shows
-        // up as an (all-zero) series in per-path reports.
-        let sampler = ThroughputSampler::from_records(
-            sim.captures(),
-            &SamplerConfig::tshark_like(dst, self.sample_bin, end)
-                .with_tags((0..self.paths.len()).map(Self::path_tag)),
-        );
+        // tshark step: the per-tag series `build_sim` asked the collector
+        // for (see `sampler_config`).
+        let sampler = collector
+            .sampler()
+            // simlint: allow(unwrap, reason = "build_sim always installs a sampler")
+            .expect("scenario collector samples");
         let per_path: Vec<TimeSeries> = (0..self.paths.len())
             .map(|i| {
                 let tag = Self::path_tag(i);
@@ -400,7 +412,7 @@ impl Scenario {
 }
 
 /// A scenario's two endpoints inside its [`MptcpSim`].
-type Ends = (SenderId, ReceiverId);
+pub(crate) type Ends = (SenderId, ReceiverId);
 
 /// The one way this crate builds, runs and reads back a simulation, for
 /// [`Scenario`] and the worldgen runners ([`crate::worldexp`]) alike.
@@ -419,13 +431,15 @@ pub(crate) struct ReceiverId(AgentId);
 
 impl MptcpSim {
     /// A simulator on `engine` that captures receiver-side events at every
-    /// node of `capture_at`.
+    /// node of `capture_at` and folds them into `collector` as they happen
+    /// (nothing is buffered).
     pub(crate) fn new(
         topology: Topology,
         routing: RoutingTables,
         seed: u64,
         engine: QueueEngine,
         capture_at: &[NodeId],
+        collector: Collector,
     ) -> Self {
         let mut sim = Simulator::new(topology, routing, seed);
         match engine {
@@ -437,6 +451,7 @@ impl MptcpSim {
             let capture = CaptureConfig::receiver_side(first);
             sim.set_capture(rest.iter().fold(capture, |c, &n| c.add_node(n)));
         }
+        sim.set_capture_sink(Box::new(collector));
         MptcpSim(sim)
     }
 
@@ -470,9 +485,23 @@ impl MptcpSim {
         }
     }
 
+    /// What the run folded out of its capture stream. Every record went
+    /// to the collector: a buffered record would be one the folds missed.
+    pub(crate) fn collector(&self) -> &Collector {
+        debug_assert!(
+            self.0.captures().is_empty(),
+            "capture records bypassed the collector"
+        );
+        self.0
+            .capture_sink()
+            .and_then(|sink| sink.as_any().downcast_ref::<Collector>())
+            // simlint: allow(unwrap, reason = "new installs a Collector and nothing in this crate removes it")
+            .expect("collector sink")
+    }
+
     /// Order-sensitive digest of the capture stream.
     pub(crate) fn trace_hash(&self) -> u64 {
-        simtrace::TraceHasher::hash_records(self.0.captures())
+        self.collector().trace_hash()
     }
 
     fn sender(&self, id: SenderId) -> &MptcpSenderAgent {
@@ -494,7 +523,15 @@ impl MptcpSim {
     }
 }
 
-/// Read-only access to the simulator's counters and captures.
+#[cfg(test)]
+impl MptcpSim {
+    /// The bare simulator, collector sink still installed.
+    pub(crate) fn into_simulator(self) -> Simulator {
+        self.0
+    }
+}
+
+/// Read-only access to the simulator's counters.
 impl std::ops::Deref for MptcpSim {
     type Target = Simulator;
 

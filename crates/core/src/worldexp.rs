@@ -29,12 +29,13 @@
 //! pool ([`crate::runner::execute_jobs`]), [`render_worldgen`] writes
 //! `results/worldgen_table.txt`, and [`verify_worldgen`] asserts its gates.
 
+use crate::collect::Collector;
 use crate::fluidcheck::fluid_config;
 use crate::runner::{execute_jobs, RunnerConfig};
 use crate::scenario::{MptcpSim, QueueEngine, ReceiverId, Scenario};
 use fluidsim::{solve, FluidLaw, FluidModel};
 use mptcpsim::{install_subflows, CcAlgo, MptcpConfig};
-use netsim::{CaptureKind, FaultSchedule, NodeId, Path, RoutingTables, Tag};
+use netsim::{FaultSchedule, NodeId, Path, RoutingTables, Tag};
 use simbase::{SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
 use std::fmt::Write as _;
 use tcpsim::AppSource;
@@ -259,6 +260,7 @@ pub fn run_fabric(cell: &FabricCell) -> FabricRun {
         cell.seed,
         QueueEngine::Wheel,
         &dsts,
+        Collector::hash_only(),
     );
     let receivers: Vec<ReceiverId> = pairs
         .iter()
@@ -384,6 +386,7 @@ pub fn run_traffic(cell: &TrafficCell) -> TrafficRun {
         cell.seed,
         QueueEngine::Wheel,
         &net.dsts,
+        Collector::hash_only(),
     );
     // Receivers exist from t=0; each sender agent starts at its
     // connection's arrival time (the agent-start event *is* the arrival).
@@ -466,6 +469,7 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
             seed,
             QueueEngine::Wheel,
             &[net.server],
+            Collector::hash_only().with_tag_bytes(net.server),
         )
         .with_faults(faults);
         let cfg = MptcpConfig {
@@ -476,17 +480,9 @@ pub fn run_mobility(algo: CcAlgo, seed: u64) -> MobilityRun {
         let rid = sim.add_receiver(net.server, true);
         sim.run(SimTime::ZERO + duration, 1, None);
         let delivered = sim.receiver(rid).data_delivered();
-        let (mut wifi, mut cell) = (0u64, 0u64);
-        for rec in sim.captures() {
-            if rec.kind == CaptureKind::Delivered && rec.node == net.server {
-                if rec.pkt.tag == Tag(1) {
-                    wifi += rec.pkt.wire_size as u64;
-                } else if rec.pkt.tag == Tag(2) {
-                    cell += rec.pkt.wire_size as u64;
-                }
-            }
-        }
-        (delivered, wifi, cell, sim.trace_hash())
+        let collector = sim.collector();
+        let (wifi, cell) = (collector.tag_bytes(Tag(1)), collector.tag_bytes(Tag(2)));
+        (delivered, wifi, cell, collector.trace_hash())
     };
     let (static_bytes, _, _, _) = run(&FaultSchedule::new());
     let (mobile_bytes, wifi_bytes, cell_bytes, trace_hash) = run(&profile.compile(&net, &net_cfg));

@@ -2,12 +2,15 @@
 //!
 //! The paper measures throughput by capturing at the destination with tshark
 //! and filtering by tag. [`CaptureConfig`] selects which nodes and which
-//! event kinds to record; the simulator appends a [`CaptureRecord`] per
-//! matching event. `simtrace` turns the record stream into per-tag
-//! throughput time series.
+//! event kinds to record; the simulator produces a [`CaptureRecord`] per
+//! matching event. With a [`CaptureSink`] installed, each record is handed
+//! to the sink as it is produced and nothing is kept; without one, records
+//! are appended to a buffer (the debugging path). `simtrace` turns the
+//! record stream into per-tag throughput time series.
 
 use crate::packet::{LinkId, NodeId, PacketMeta};
 use simbase::SimTime;
+use std::any::Any;
 use std::collections::BTreeSet;
 
 /// What happened to the packet at the capture point.
@@ -38,6 +41,23 @@ pub struct CaptureRecord {
     pub link: Option<LinkId>,
     /// Packet metadata.
     pub pkt: PacketMeta,
+}
+
+/// An online consumer of capture records: the simulator hands it every
+/// record in exact serial-run order — partitioned runs included, whose
+/// region streams are merged before they reach the sink — so an
+/// order-sensitive fold (a trace hash) sees the same sequence a buffered
+/// capture would hold.
+pub trait CaptureSink: Send {
+    /// Observe the next record.
+    fn record(&mut self, rec: &CaptureRecord);
+
+    /// Deep-copy the sink's state for a simulator checkpoint (a branch
+    /// continues folding from the prefix's state).
+    fn clone_boxed(&self) -> Box<dyn CaptureSink>;
+
+    /// Downcast hook, so the installer can read its results back.
+    fn as_any(&self) -> &dyn Any;
 }
 
 /// Which events to record.

@@ -26,7 +26,7 @@
 //! still produce a byte-identical trace.
 
 use crate::agent::{Agent, AgentId, Ctx, Effect};
-use crate::capture::{CaptureConfig, CaptureKind, CaptureRecord};
+use crate::capture::{CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
 use crate::faults::{FaultAction, FaultSchedule};
 use crate::packet::{Dir, LinkId, NodeId, Packet, PacketMeta};
 use crate::queue::{EnqueueResult, Queue};
@@ -180,10 +180,15 @@ pub struct Simulator {
     /// Simulation-wide event log (agents write through `Ctx`).
     pub log: EventLog,
     capture_cfg: CaptureConfig,
+    /// Online consumer of capture records; when set, nothing is buffered
+    /// (regions of a partitioned run never hold one — see `record_meta`).
+    sink: Option<Box<dyn CaptureSink>>,
+    /// Records kept when no sink is installed, and always in a region.
     captures: Vec<CaptureRecord>,
     /// Per-record provenance stamp `(event key, intra-event index)`,
-    /// parallel to `captures`: the canonical position of the record in the
-    /// run, used to merge region capture streams into serial order.
+    /// parallel to `captures` in region simulators only (empty on the
+    /// serial path): the canonical position of the record in the run, used
+    /// to merge region capture streams into serial order.
     capture_ord: Vec<(u64, u32)>,
     /// Canonical key of the event currently being executed.
     cur_key: u64,
@@ -286,6 +291,7 @@ impl Simulator {
             fault_seq: 0,
             log: EventLog::new(LogLevel::Warn),
             capture_cfg: CaptureConfig::off(),
+            sink: None,
             captures: Vec::new(),
             capture_ord: Vec::new(),
             cur_key: 0,
@@ -315,6 +321,23 @@ impl Simulator {
     /// Set the capture configuration (before or during a run).
     pub fn set_capture(&mut self, cfg: CaptureConfig) {
         self.capture_cfg = cfg;
+    }
+
+    /// Deliver every capture record to `sink` as it is produced instead of
+    /// buffering it (see [`CaptureSink`]). Install before the run starts:
+    /// records already buffered stay in [`Simulator::captures`].
+    pub fn set_capture_sink(&mut self, sink: Box<dyn CaptureSink>) {
+        self.sink = Some(sink);
+    }
+
+    /// The installed capture sink, if any.
+    pub fn capture_sink(&self) -> Option<&dyn CaptureSink> {
+        self.sink.as_deref()
+    }
+
+    /// Remove the capture sink; later records go to the buffer again.
+    pub fn take_capture_sink(&mut self) -> Option<Box<dyn CaptureSink>> {
+        self.sink.take()
     }
 
     /// Add up to `jitter` of uniform random delay to every packet's
@@ -419,7 +442,7 @@ impl Simulator {
         pkt
     }
 
-    /// Capture records collected so far.
+    /// Capture records buffered so far (empty while a sink is installed).
     pub fn captures(&self) -> &[CaptureRecord] {
         &self.captures
     }
@@ -475,11 +498,12 @@ impl Simulator {
     /// The snapshot is a deep copy: the event queue (pending entries,
     /// cancellation-token table, and lifetime push/cancel counters), every
     /// agent (via [`Agent::clone_boxed`]), per-entity RNG streams, link
-    /// transmitters and queues, the wire pool, capture records, and all
-    /// statistics. Because the execution is a pure function of that state
-    /// (see the module docs on schedule-independent ordering), a restored
-    /// simulator replays the identical event sequence — trace hashes of a
-    /// branched continuation match a cold run byte-for-byte.
+    /// transmitters and queues, the wire pool, the capture sink's state
+    /// (via [`CaptureSink::clone_boxed`]) or the buffered capture records,
+    /// and all statistics. Because the execution is a pure function of that
+    /// state (see the module docs on schedule-independent ordering), a
+    /// restored simulator replays the identical event sequence — trace
+    /// hashes of a branched continuation match a cold run byte-for-byte.
     ///
     /// Only the serial path can checkpoint: panics if this simulator is a
     /// region of a partitioned run (checkpoint before `run_parallel`, or
@@ -537,6 +561,7 @@ impl Simulator {
             fault_seq: self.fault_seq,
             log: self.log.clone(),
             capture_cfg: self.capture_cfg.clone(),
+            sink: self.sink.as_ref().map(|s| s.clone_boxed()),
             captures: self.captures.clone(),
             capture_ord: self.capture_ord.clone(),
             cur_key: self.cur_key,
@@ -1101,9 +1126,11 @@ impl Simulator {
         }
     }
 
-    /// Append one capture record, stamped with its canonical position
-    /// `(current event key, intra-event index)` so region capture streams
-    /// merge back into exact serial order.
+    /// Emit one capture record: to the sink when one is installed,
+    /// otherwise to the buffer. A region of a partitioned run always
+    /// buffers, stamping each record with its canonical position
+    /// `(current event key, intra-event index)` so the merge can restore
+    /// exact serial order before the parent's sink sees anything.
     fn record_meta(
         &mut self,
         node: NodeId,
@@ -1111,22 +1138,30 @@ impl Simulator {
         link: Option<LinkId>,
         pkt: PacketMeta,
     ) {
-        self.captures.push(CaptureRecord {
+        let rec = CaptureRecord {
             time: self.now,
             node,
             kind,
             link,
             pkt,
-        });
-        self.capture_ord.push((self.cur_key, self.cur_sub));
-        self.cur_sub += 1;
+        };
+        if self.node_region.is_some() {
+            self.captures.push(rec);
+            self.capture_ord.push((self.cur_key, self.cur_sub));
+            self.cur_sub += 1;
+        } else if let Some(sink) = &mut self.sink {
+            sink.record(&rec);
+        } else {
+            self.captures.push(rec);
+        }
     }
 }
 
 /// Snapshot format version. Bumped whenever the captured state set changes
 /// meaning (restore refuses a mismatched snapshot rather than silently
-/// resuming from partial state).
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// resuming from partial state). v2: a snapshot holds the capture sink's
+/// state instead of the record history when a sink is installed.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// A versioned, self-contained copy of a simulator's full deterministic
 /// state at one instant, produced by [`Simulator::checkpoint`].

@@ -30,7 +30,8 @@
 //! deadline remain parked in the (discarded) region queues, so the
 //! simulator cannot be stepped further afterwards. All end-of-run
 //! accounting (stats, captures, link state, agent state) is merged back
-//! exactly; only the event log's interleaving of *equal-time* records may
+//! exactly — captures in serial order, into the parent's sink when it has
+//! one; only the event log's interleaving of *equal-time* records may
 //! differ from a serial run, and a duplicated fault action logs once per
 //! endpoint region.
 
@@ -415,7 +416,9 @@ impl Simulator {
 
         // Captures merge into exact serial order: every record was stamped
         // with (event canonical key, intra-event index), and live keys are
-        // unique per timestamp, so (time, key, sub) is a total order.
+        // unique per timestamp, so (time, key, sub) is a total order. The
+        // merged stream then goes where a serial run would have sent each
+        // record: into the sink when one is installed, else the buffer.
         let mut tagged: Vec<((SimTime, u64, u32), CaptureRecord)> = Vec::new();
         for sim in &mut regions {
             let recs = std::mem::take(&mut sim.captures);
@@ -426,9 +429,9 @@ impl Simulator {
             }
         }
         tagged.sort_unstable_by_key(|entry| entry.0);
-        for ((_, key, sub), rec) in tagged {
-            self.captures.push(rec);
-            self.capture_ord.push((key, sub));
+        match &mut self.sink {
+            Some(sink) => tagged.iter().for_each(|(_, rec)| sink.record(rec)),
+            None => self.captures.extend(tagged.into_iter().map(|(_, rec)| rec)),
         }
 
         // Logs merge chronologically (stable within a region; equal-time
@@ -448,7 +451,7 @@ impl Simulator {
 mod tests {
     use super::super::order;
     use crate::agent::{Agent, Ctx};
-    use crate::capture::{CaptureConfig, CaptureKind};
+    use crate::capture::{CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
     use crate::packet::{NodeId, Packet, Protocol, Tag};
     use crate::payload::Payload;
     use crate::queue::QueueConfig;
@@ -459,6 +462,7 @@ mod tests {
 
     /// A pinger that sends one packet to `peer` every interval and echoes
     /// nothing — enough traffic to cross the cut in both directions.
+    #[derive(Clone)]
     struct Pinger {
         peer: NodeId,
         interval: SimDuration,
@@ -480,6 +484,9 @@ mod tests {
         }
         fn as_any(&self) -> Option<&dyn std::any::Any> {
             Some(self)
+        }
+        fn clone_boxed(&self) -> Box<dyn Agent> {
+            Box::new(self.clone())
         }
     }
 
@@ -589,6 +596,93 @@ mod tests {
             serial.link_is_up(crate::packet::LinkId(1)),
             par.link_is_up(crate::packet::LinkId(1))
         );
+    }
+
+    /// A sink that keeps each record's fingerprint, to compare the online
+    /// stream with the buffer.
+    #[derive(Clone, Default)]
+    struct Fingerprints(Vec<(SimTime, NodeId, CaptureKind, u64)>);
+
+    impl CaptureSink for Fingerprints {
+        fn record(&mut self, rec: &CaptureRecord) {
+            self.0.push((rec.time, rec.node, rec.kind, rec.pkt.id));
+        }
+        fn clone_boxed(&self) -> Box<dyn CaptureSink> {
+            Box::new(self.clone())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    fn sink_fingerprint(sim: &Simulator) -> Vec<(SimTime, NodeId, CaptureKind, u64)> {
+        let sink = sim.capture_sink().expect("sink installed");
+        let prints = sink.as_any().downcast_ref::<Fingerprints>().unwrap();
+        prints.0.clone()
+    }
+
+    fn build_with_sink() -> Simulator {
+        let mut sim = build();
+        sim.set_capture_sink(Box::new(Fingerprints::default()));
+        sim
+    }
+
+    #[test]
+    fn sink_sees_the_serial_buffer_and_buffers_nothing() {
+        let deadline = SimTime::from_millis(200);
+        let mut buffered = build();
+        buffered.run_until(deadline);
+        assert!(!buffered.captures().is_empty());
+        // A serial run stamps no merge positions: nothing reads them.
+        assert!(buffered.capture_ord.is_empty());
+        let mut streamed = build_with_sink();
+        streamed.run_until(deadline);
+        assert!(streamed.captures().is_empty());
+        assert_eq!(sink_fingerprint(&streamed), capture_fingerprint(&buffered));
+    }
+
+    #[test]
+    fn region_merge_feeds_the_sink_in_serial_order() {
+        let deadline = SimTime::from_millis(200);
+        let mut serial = build();
+        serial.run_until(deadline);
+        let mut par = build_with_sink();
+        par.schedule_link_down(crate::packet::LinkId(1), SimTime::from_millis(30));
+        par.schedule_link_up(crate::packet::LinkId(1), SimTime::from_millis(60));
+        par.run_parallel_with_map(deadline, &[0, 0, 1, 1]);
+        assert!(par.captures().is_empty() && par.capture_ord.is_empty());
+        let mut faulted = build();
+        faulted.schedule_link_down(crate::packet::LinkId(1), SimTime::from_millis(30));
+        faulted.schedule_link_up(crate::packet::LinkId(1), SimTime::from_millis(60));
+        faulted.run_until(deadline);
+        assert_eq!(sink_fingerprint(&par), capture_fingerprint(&faulted));
+        assert_ne!(sink_fingerprint(&par), capture_fingerprint(&serial));
+    }
+
+    #[test]
+    fn checkpoint_carries_the_sink_state_not_a_history() {
+        let (mid, end) = (SimTime::from_millis(80), SimTime::from_millis(200));
+        let mut cold = build_with_sink();
+        cold.run_until(end);
+        let mut prefix = build_with_sink();
+        prefix.run_until(mid);
+        let snapshot = prefix.checkpoint();
+        assert!(snapshot.sim.captures.is_empty());
+        for _ in 0..2 {
+            let mut branch = Simulator::restore(&snapshot);
+            branch.run_until(end);
+            assert_eq!(sink_fingerprint(&branch), sink_fingerprint(&cold));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot restore v1")]
+    fn restore_rejects_a_v1_snapshot() {
+        let snapshot = crate::sim::SimSnapshot {
+            version: 1,
+            sim: build(),
+        };
+        let _ = Simulator::restore(&snapshot);
     }
 
     #[test]

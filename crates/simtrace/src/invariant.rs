@@ -10,8 +10,9 @@
 //!   field of every record. Two runs are "the same" iff their hashes match;
 //!   a single reordered, altered or missing record changes the digest.
 //! * [`Invariant`] — a streaming check over the record sequence.
-//!   [`check_trace`] runs a set of invariants over a full capture and
-//!   returns every violation found.
+//!   [`TraceChecker`] runs a set of invariants online, record by record;
+//!   [`check_trace`] is its batch form over a full capture. Both return
+//!   every violation found.
 //! * Built-ins: [`MonotonicTime`] (capture timestamps never go backwards),
 //!   [`UniqueDelivery`] (no packet id is delivered twice — queues and links
 //!   must not duplicate traffic), [`SaneSizes`] (a packet's virtual payload
@@ -24,7 +25,7 @@
 
 use netsim::{CaptureKind, CaptureRecord, Ecn, Protocol};
 use simbase::SimTime;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A violated invariant: which check failed, when, and why.
@@ -48,8 +49,10 @@ impl fmt::Display for InvariantViolation {
 /// A streaming check over a capture-record sequence.
 ///
 /// Implementations see every record once, in order, then get a final
-/// [`on_end`](Invariant::on_end) call for whole-trace conditions.
-pub trait Invariant {
+/// [`on_end`](Invariant::on_end) call for whole-trace conditions. They may
+/// ride along inside a running simulation (as part of a capture sink), so
+/// they must be `Send` and cloneable into a checkpoint.
+pub trait Invariant: Send {
     /// Stable identifier, used in violation reports.
     fn name(&self) -> &'static str;
 
@@ -60,12 +63,21 @@ pub trait Invariant {
     fn on_end(&mut self) -> Option<InvariantViolation> {
         None
     }
+
+    /// Deep-copy this check's state (for simulator checkpoints).
+    fn clone_boxed(&self) -> Box<dyn Invariant>;
+}
+
+impl Clone for Box<dyn Invariant> {
+    fn clone(&self) -> Self {
+        self.clone_boxed()
+    }
 }
 
 /// Capture timestamps must be non-decreasing: the simulator appends records
 /// as events execute, so a backwards step means the event loop itself ran
 /// out of order.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct MonotonicTime {
     last: Option<SimTime>,
 }
@@ -90,14 +102,49 @@ impl Invariant for MonotonicTime {
         self.last = Some(self.last.map_or(rec.time, |p| p.max(rec.time)));
         out
     }
+
+    fn clone_boxed(&self) -> Box<dyn Invariant> {
+        Box::new(self.clone())
+    }
 }
 
 /// Each packet id is delivered at most once: links and queues may drop or
 /// delay packets but never clone them, so a duplicate delivery means the
 /// forwarding plane manufactured traffic.
-#[derive(Debug, Default)]
+///
+/// Delivered ids are kept as maximal runs of consecutive ids (first → last,
+/// inclusive). Each sender numbers its packets consecutively, so memory
+/// grows with the gaps in the delivered set — drops and reordering — not
+/// with the number of deliveries.
+#[derive(Debug, Default, Clone)]
 pub struct UniqueDelivery {
-    seen: BTreeSet<u64>,
+    runs: BTreeMap<u64, u64>,
+}
+
+impl UniqueDelivery {
+    /// Record `id` as delivered; false if it already was.
+    fn insert(&mut self, id: u64) -> bool {
+        let before = self.runs.range(..=id).next_back().map(|(&f, &l)| (f, l));
+        if before.is_some_and(|(_, last)| id <= last) {
+            return false;
+        }
+        let after = id
+            .checked_add(1)
+            .and_then(|next| self.runs.get(&next).map(|&last| (next, last)));
+        let first = match before {
+            Some((first, last)) if last.checked_add(1) == Some(id) => first,
+            _ => id,
+        };
+        let last = match after {
+            Some((next, last)) => {
+                self.runs.remove(&next);
+                last
+            }
+            None => id,
+        };
+        self.runs.insert(first, last);
+        true
+    }
 }
 
 impl Invariant for UniqueDelivery {
@@ -109,7 +156,7 @@ impl Invariant for UniqueDelivery {
         if rec.kind != CaptureKind::Delivered {
             return None;
         }
-        if self.seen.insert(rec.pkt.id) {
+        if self.insert(rec.pkt.id) {
             None
         } else {
             Some(InvariantViolation {
@@ -119,11 +166,15 @@ impl Invariant for UniqueDelivery {
             })
         }
     }
+
+    fn clone_boxed(&self) -> Box<dyn Invariant> {
+        Box::new(self.clone())
+    }
 }
 
 /// A packet's virtual payload length can never exceed its on-wire size:
 /// wire size = payload + headers, and headers are non-negative.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SaneSizes;
 
 impl Invariant for SaneSizes {
@@ -145,6 +196,10 @@ impl Invariant for SaneSizes {
             None
         }
     }
+
+    fn clone_boxed(&self) -> Box<dyn Invariant> {
+        Box::new(self.clone())
+    }
 }
 
 /// The default invariant suite for a full-capture trace.
@@ -157,25 +212,76 @@ pub fn default_invariants() -> Vec<Box<dyn Invariant>> {
 }
 
 /// Run `invariants` over `records` and collect every violation, in record
-/// order (end-of-trace findings last).
+/// order (end-of-trace findings last). The batch form of [`TraceChecker`].
 pub fn check_trace(
     records: &[CaptureRecord],
     invariants: &mut [Box<dyn Invariant>],
 ) -> Vec<InvariantViolation> {
     let mut out = Vec::new();
     for rec in records {
-        for inv in invariants.iter_mut() {
-            if let Some(v) = inv.on_record(rec) {
-                out.push(v);
-            }
-        }
+        observe(invariants.iter_mut(), rec, &mut out);
     }
-    for inv in invariants.iter_mut() {
-        if let Some(v) = inv.on_end() {
-            out.push(v);
-        }
-    }
+    end_of_trace(invariants.iter_mut(), &mut out);
     out
+}
+
+/// Show one record to every invariant, collecting violations into `out`.
+fn observe<'a>(
+    invariants: impl Iterator<Item = &'a mut Box<dyn Invariant>>,
+    rec: &CaptureRecord,
+    out: &mut Vec<InvariantViolation>,
+) {
+    out.extend(invariants.filter_map(|inv| inv.on_record(rec)));
+}
+
+/// Run every invariant's whole-trace check, collecting into `out`.
+fn end_of_trace<'a>(
+    invariants: impl Iterator<Item = &'a mut Box<dyn Invariant>>,
+    out: &mut Vec<InvariantViolation>,
+) {
+    out.extend(invariants.filter_map(|inv| inv.on_end()));
+}
+
+/// The online form of [`check_trace`]: a set of invariants fed one record
+/// at a time as the simulator produces them.
+#[derive(Clone)]
+pub struct TraceChecker {
+    invariants: Vec<Box<dyn Invariant>>,
+    violations: Vec<InvariantViolation>,
+}
+
+impl TraceChecker {
+    /// A checker running `invariants` (e.g. [`default_invariants`]).
+    pub fn new(invariants: Vec<Box<dyn Invariant>>) -> Self {
+        TraceChecker {
+            invariants,
+            violations: Vec::new(),
+        }
+    }
+
+    /// Observe the next record.
+    pub fn push(&mut self, rec: &CaptureRecord) {
+        observe(self.invariants.iter_mut(), rec, &mut self.violations);
+    }
+
+    /// Every violation of the trace so far, end-of-trace checks included,
+    /// exactly as [`check_trace`] reports them over the same records. The
+    /// checker itself is left untouched and may keep observing.
+    pub fn finish(&self) -> Vec<InvariantViolation> {
+        let mut out = self.violations.clone();
+        end_of_trace(self.invariants.clone().iter_mut(), &mut out);
+        out
+    }
+}
+
+impl fmt::Debug for TraceChecker {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<&str> = self.invariants.iter().map(|i| i.name()).collect();
+        f.debug_struct("TraceChecker")
+            .field("invariants", &names)
+            .field("violations", &self.violations.len())
+            .finish()
+    }
 }
 
 /// Order-sensitive FNV-1a 64-bit digest over capture records.
@@ -384,6 +490,73 @@ mod tests {
         let v = check_trace(&[bad], &mut [Box::new(SaneSizes)]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "sane-sizes");
+    }
+
+    #[test]
+    fn unique_delivery_merges_runs_of_consecutive_ids() {
+        let mut u = UniqueDelivery::default();
+        for id in [5, 3, 4, 7, 6, u64::MAX, u64::MAX - 1, 0] {
+            assert!(u.insert(id), "{id} is new");
+        }
+        assert_eq!(
+            u.runs.iter().map(|(&f, &l)| (f, l)).collect::<Vec<_>>(),
+            [(0, 0), (3, 7), (u64::MAX - 1, u64::MAX)]
+        );
+        for id in [0, 3, 5, 7, u64::MAX] {
+            assert!(!u.insert(id), "{id} is a duplicate");
+        }
+    }
+
+    #[test]
+    fn online_checker_reports_what_check_trace_reports() {
+        let trace = vec![
+            rec(5, CaptureKind::Delivered, 1),
+            rec(3, CaptureKind::Delivered, 1),
+            rec(6, CaptureKind::Delivered, 2),
+            rec(6, CaptureKind::Delivered, 2),
+        ];
+        let mut online = TraceChecker::new(default_invariants());
+        for r in &trace {
+            online.push(r);
+        }
+        let batch = check_trace(&trace, &mut default_invariants());
+        assert_eq!(batch.len(), 3);
+        assert_eq!(online.finish(), batch);
+        // A checkpointed copy continues from the same state.
+        let mut branch = online.clone();
+        branch.push(&rec(7, CaptureKind::Delivered, 1));
+        assert_eq!(branch.finish().len(), 4);
+        assert_eq!(online.finish(), batch);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // The run-map must give the verdicts a plain set of every delivered
+        // id gives, over shuffled id streams with injected duplicates.
+        #[test]
+        fn unique_delivery_matches_a_set_reference(
+            n in 1u64..400,
+            keys in proptest::collection::vec(proptest::prelude::any::<u64>(), 400),
+            dups in proptest::collection::vec((0usize..400, 0usize..400), 0..40),
+            base in proptest::prelude::any::<u64>(),
+        ) {
+            // Shuffle ids base..base+n by random sort keys, then copy some
+            // ids to other positions.
+            let mut ids: Vec<u64> = (0..n).map(|i| base.wrapping_add(i)).collect();
+            let mut order: Vec<usize> = (0..ids.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            ids = order.into_iter().map(|i| ids[i]).collect();
+            for &(from, to) in &dups {
+                let id = ids[from % ids.len()];
+                ids.insert(to % (ids.len() + 1), id);
+            }
+            let mut runs = UniqueDelivery::default();
+            let mut reference = std::collections::BTreeSet::new();
+            for &id in &ids {
+                proptest::prop_assert_eq!(runs.insert(id), reference.insert(id), "id {}", id);
+            }
+        }
     }
 
     #[test]

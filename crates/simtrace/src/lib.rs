@@ -3,7 +3,8 @@
 //! The measurement half of the paper's methodology (tshark at the receiver,
 //! filtered by tag, binned at 10/100 ms):
 //!
-//! * [`sampler`] — capture records → per-tag throughput [`TimeSeries`].
+//! * [`sampler`] — capture records → per-tag throughput [`TimeSeries`],
+//!   online ([`OnlineSampler`]) or over a buffered capture.
 //! * [`series`] — windowed means, smoothing, summation, CoV.
 //! * [`summary`] — convergence-to-optimum detection, stability (CoV),
 //!   Jain fairness.
@@ -22,7 +23,9 @@ pub mod series;
 pub mod summary;
 
 pub use export::{ascii_chart, to_csv, ChartOptions};
-pub use invariant::{check_trace, default_invariants, Invariant, InvariantViolation, TraceHasher};
-pub use sampler::{SamplerConfig, ThroughputSampler};
+pub use invariant::{
+    check_trace, default_invariants, Invariant, InvariantViolation, TraceChecker, TraceHasher,
+};
+pub use sampler::{OnlineSampler, SamplerConfig, ThroughputSampler};
 pub use series::TimeSeries;
 pub use summary::{jain_fairness, ConvergenceReport};

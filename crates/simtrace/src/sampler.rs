@@ -65,42 +65,86 @@ pub struct ThroughputSampler {
 }
 
 impl ThroughputSampler {
-    /// Bin `records` according to `cfg`.
+    /// Bin `records` according to `cfg` (the batch form of
+    /// [`OnlineSampler`]).
     pub fn from_records(records: &[CaptureRecord], cfg: &SamplerConfig) -> Self {
-        let nbins = (cfg.horizon.as_nanos()).div_ceil(cfg.bin.as_nanos()).max(1) as usize;
-        let mut bytes_per_tag: BTreeMap<Tag, Vec<u64>> = BTreeMap::new();
-        for &tag in &cfg.ensure_tags {
-            bytes_per_tag
-                .entry(tag)
-                .or_insert_with(|| vec![0u64; nbins]);
-        }
-        let mut packets = 0u64;
-        let mut bytes = 0u64;
-
+        let mut online = OnlineSampler::new(cfg);
         for r in records {
-            if r.kind != CaptureKind::Delivered {
-                continue;
-            }
-            if let Some(node) = cfg.at_node {
-                if r.node != node {
-                    continue;
-                }
-            }
-            if cfg.data_only && r.pkt.data_len == 0 {
-                continue;
-            }
-            if r.time >= cfg.horizon {
-                continue;
-            }
-            let bin = (r.time.as_nanos() / cfg.bin.as_nanos()) as usize;
-            let entry = bytes_per_tag
-                .entry(r.pkt.tag)
-                .or_insert_with(|| vec![0u64; nbins]);
-            entry[bin] += r.pkt.wire_size as u64;
-            packets += 1;
-            bytes += r.pkt.wire_size as u64;
+            online.push(r);
         }
+        online.finish()
+    }
 
+    /// The series for one tag, if present.
+    pub fn tag(&self, tag: Tag) -> Option<&TimeSeries> {
+        self.per_tag.get(&tag)
+    }
+
+    /// Mean throughput per tag over `[from, to)`, in tag order.
+    pub fn mean_rates_over(&self, from: SimTime, to: SimTime) -> Vec<(Tag, f64)> {
+        self.per_tag
+            .iter()
+            .map(|(t, s)| (*t, s.mean_over(from, to)))
+            .collect()
+    }
+}
+
+/// The online form of [`ThroughputSampler`]: fold capture records one at
+/// a time as the simulator produces them ([`OnlineSampler::push`]), then
+/// turn the byte bins into series ([`OnlineSampler::finish`]). Holds one
+/// counter per (tag, bin) — never the records themselves.
+#[derive(Debug, Clone)]
+pub struct OnlineSampler {
+    cfg: SamplerConfig,
+    nbins: usize,
+    bytes_per_tag: BTreeMap<Tag, Vec<u64>>,
+    packets: u64,
+    bytes: u64,
+}
+
+impl OnlineSampler {
+    /// An empty sampler; every tag in `cfg.ensure_tags` gets a zero series.
+    pub fn new(cfg: &SamplerConfig) -> Self {
+        let nbins = (cfg.horizon.as_nanos()).div_ceil(cfg.bin.as_nanos()).max(1) as usize;
+        let bytes_per_tag = cfg
+            .ensure_tags
+            .iter()
+            .map(|&tag| (tag, vec![0u64; nbins]))
+            .collect();
+        OnlineSampler {
+            cfg: cfg.clone(),
+            nbins,
+            bytes_per_tag,
+            packets: 0,
+            bytes: 0,
+        }
+    }
+
+    /// Count one record if it passes the configured filters.
+    pub fn push(&mut self, r: &CaptureRecord) {
+        let cfg = &self.cfg;
+        if r.kind != CaptureKind::Delivered
+            || cfg.at_node.is_some_and(|node| r.node != node)
+            || (cfg.data_only && r.pkt.data_len == 0)
+            || r.time >= cfg.horizon
+        {
+            return;
+        }
+        let bin = (r.time.as_nanos() / cfg.bin.as_nanos()) as usize;
+        let nbins = self.nbins;
+        let entry = self
+            .bytes_per_tag
+            .entry(r.pkt.tag)
+            .or_insert_with(|| vec![0u64; nbins]);
+        entry[bin] += r.pkt.wire_size as u64;
+        self.packets += 1;
+        self.bytes += r.pkt.wire_size as u64;
+    }
+
+    /// The per-tag series of everything pushed so far.
+    pub fn finish(&self) -> ThroughputSampler {
+        let cfg = &self.cfg;
+        let nbins = self.nbins;
         let bin_secs = cfg.bin.as_secs_f64();
         // When the horizon is not a whole number of bins, the final bin only
         // covers `horizon mod bin` of time. Dividing its bytes by the full
@@ -116,13 +160,14 @@ impl ThroughputSampler {
             let width = if i + 1 == nbins { last_secs } else { bin_secs };
             (b as f64) * 8.0 / width / 1e6
         };
-        let per_tag: BTreeMap<Tag, TimeSeries> = bytes_per_tag
-            .into_iter()
-            .map(|(tag, bins)| {
+        let per_tag: BTreeMap<Tag, TimeSeries> = self
+            .bytes_per_tag
+            .iter()
+            .map(|(&tag, bins)| {
                 let vals: Vec<f64> = bins
-                    .into_iter()
+                    .iter()
                     .enumerate()
-                    .map(|(i, b)| to_mbps(i, b))
+                    .map(|(i, &b)| to_mbps(i, b))
                     .collect();
                 (
                     tag,
@@ -141,22 +186,9 @@ impl ThroughputSampler {
         ThroughputSampler {
             per_tag,
             total,
-            packets,
-            bytes,
+            packets: self.packets,
+            bytes: self.bytes,
         }
-    }
-
-    /// The series for one tag, if present.
-    pub fn tag(&self, tag: Tag) -> Option<&TimeSeries> {
-        self.per_tag.get(&tag)
-    }
-
-    /// Mean throughput per tag over `[from, to)`, in tag order.
-    pub fn mean_rates_over(&self, from: SimTime, to: SimTime) -> Vec<(Tag, f64)> {
-        self.per_tag
-            .iter()
-            .map(|(t, s)| (*t, s.mean_over(from, to)))
-            .collect()
     }
 }
 

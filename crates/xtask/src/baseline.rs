@@ -12,7 +12,9 @@
 //! The file format is JSON, one entry per line, sorted by (rule, path), so
 //! diffs of `results/simlint_baseline.json` read as "this file got better
 //! / worse at this rule". Regenerate with `--update-baseline` after
-//! deliberately shrinking the surface.
+//! deliberately shrinking the surface; it refuses to write any count above
+//! the one it would overwrite (see [`Baseline::raised_over`]), so raising a
+//! count takes a hand edit of the JSON that shows in the diff.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -39,7 +41,43 @@ pub struct StaleEntry {
     pub actual: usize,
 }
 
+/// A count a proposed baseline would raise above the current one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RaisedEntry {
+    /// Rule id of the entry.
+    pub rule: String,
+    /// File the entry covers.
+    pub path: String,
+    /// Count the current baseline tolerates (0 when it has no entry).
+    pub current: usize,
+    /// Count the proposed baseline would record.
+    pub proposed: usize,
+}
+
 impl Baseline {
+    /// Entries of `self` (a proposed baseline) that record more findings
+    /// than `current` tolerates for the same (rule, path); a missing entry
+    /// tolerates none. The ratchet only shrinks, so `--update-baseline`
+    /// writes nothing while this is non-empty.
+    pub fn raised_over(&self, current: &Baseline) -> Vec<RaisedEntry> {
+        self.entries
+            .iter()
+            .filter_map(|((rule, path), &proposed)| {
+                let tolerated = current
+                    .entries
+                    .get(&(rule.clone(), path.clone()))
+                    .copied()
+                    .unwrap_or(0);
+                (proposed > tolerated).then(|| RaisedEntry {
+                    rule: rule.clone(),
+                    path: path.clone(),
+                    current: tolerated,
+                    proposed,
+                })
+            })
+            .collect()
+    }
+
     /// Serialize to the checked-in format: schema header plus one sorted
     /// entry per line. Byte-stable for identical content.
     pub fn to_json(&self) -> String {
@@ -261,6 +299,41 @@ mod tests {
         assert!(stale.is_empty());
         assert_eq!(vs[0].status, BaselineStatus::Baselined);
         assert_eq!(vs[1].status, BaselineStatus::New);
+    }
+
+    #[test]
+    fn raised_counts_are_detected_and_shrinks_are_not() {
+        let mut current = Baseline::default();
+        current
+            .entries
+            .insert(("panic-surface".into(), "a.rs".into()), 3);
+        current
+            .entries
+            .insert(("truncating-cast".into(), "b.rs".into()), 1);
+        let mut next = current.clone();
+        assert!(next.raised_over(&current).is_empty());
+        // Shrinking and dropping entries is what the ratchet is for.
+        next.entries
+            .insert(("panic-surface".into(), "a.rs".into()), 2);
+        next.entries
+            .remove(&("truncating-cast".into(), "b.rs".into()));
+        assert!(next.raised_over(&current).is_empty());
+        // Raising an entry, or adding one the current baseline lacks, is not.
+        next.entries
+            .insert(("panic-surface".into(), "a.rs".into()), 4);
+        next.entries
+            .insert(("panic-surface".into(), "new.rs".into()), 1);
+        let raised = next.raised_over(&current);
+        assert_eq!(raised.len(), 2);
+        assert_eq!((raised[0].current, raised[0].proposed), (3, 4));
+        assert_eq!(
+            (
+                raised[1].path.as_str(),
+                raised[1].current,
+                raised[1].proposed
+            ),
+            ("new.rs", 0, 1)
+        );
     }
 
     #[test]

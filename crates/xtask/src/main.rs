@@ -11,11 +11,12 @@
 //!     truncating-cast) against the checked-in baseline; only *new*
 //!     findings and *stale* baseline entries fail.
 //!   * `--update-baseline <path>` — rewrite the baseline to pin exactly
-//!     the current ratcheted findings (use only to shrink it).
+//!     the current ratcheted findings. Refuses (exit 1, nothing written)
+//!     if that would raise any (rule, file) count of the file it replaces.
 //!   * `--explain <rule>` — print a rule's rationale and canonical fix.
 //!
-//!   Exits 0 when clean, 1 on new findings or stale baseline entries,
-//!   2 on usage errors.
+//!   Exits 0 when clean, 1 on new findings, stale baseline entries or a
+//!   refused baseline update, 2 on usage errors.
 
 #![forbid(unsafe_code)]
 
@@ -136,6 +137,33 @@ fn lint_command(args: &[String]) -> ExitCode {
     if let Some(p) = update_path {
         let b = Baseline::from_findings(&report.violations);
         let abs = root.join(&p);
+        // The ratchet only shrinks: never overwrite a count with a larger
+        // one. Raising a count takes a hand edit that shows in the diff.
+        if abs.exists() {
+            let current = match Baseline::load(&abs) {
+                Ok(current) => current,
+                Err(e) => {
+                    eprintln!("xtask simlint: {e}");
+                    return ExitCode::from(2);
+                }
+            };
+            let raised = b.raised_over(&current);
+            if !raised.is_empty() {
+                for r in &raised {
+                    eprintln!(
+                        "xtask simlint: {}: {} would rise from {} to {}",
+                        r.path, r.rule, r.current, r.proposed
+                    );
+                }
+                eprintln!(
+                    "xtask simlint: refusing to raise {} baseline count(s) in {}; the baseline \
+                     only shrinks (fix the findings, or edit the file by hand)",
+                    raised.len(),
+                    p.display()
+                );
+                return ExitCode::FAILURE;
+            }
+        }
         if let Err(e) = std::fs::write(&abs, b.to_json()) {
             eprintln!("xtask simlint: cannot write {}: {e}", abs.display());
             return ExitCode::from(2);
