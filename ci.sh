@@ -126,4 +126,24 @@ cmp /tmp/table2_regen.txt results/table2.txt || {
 }
 rm -f /tmp/table2_regen.txt
 
+echo "==> table1.txt byte-diff regeneration check"
+./target/release/table1_results 5 30 2>/dev/null >/tmp/table1_regen.txt
+cmp /tmp/table1_regen.txt results/table1.txt || {
+    echo "results/table1.txt is stale: regenerate with" >&2
+    echo "  cargo run -p bench --bin table1_results --release -- 5 30 > results/table1.txt" >&2
+    exit 1
+}
+rm -f /tmp/table1_regen.txt
+
+for fig in fig2a fig2b fig2c; do
+    echo "==> $fig.txt byte-diff regeneration check"
+    ./target/release/$fig 2>/dev/null >/tmp/${fig}_regen.txt
+    cmp /tmp/${fig}_regen.txt results/$fig.txt || {
+        echo "results/$fig.txt is stale: regenerate with" >&2
+        echo "  cargo run -p bench --bin $fig --release > results/$fig.txt" >&2
+        exit 1
+    }
+    rm -f /tmp/${fig}_regen.txt
+done
+
 echo "CI OK"

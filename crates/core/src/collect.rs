@@ -6,8 +6,9 @@
 //! what it reads back: the trace hash always; the per-tag throughput
 //! sampler and (under the `check` feature) the trace invariants for
 //! [`Scenario`](crate::Scenario); per-tag delivered bytes for the mobility
-//! runner. The buffered capture
-//! ([`Simulator::captures`](netsim::Simulator::captures)) stays the
+//! runner. The simulator's default sink, a
+//! [`CaptureBuffer`](netsim::CaptureBuffer) read back through
+//! [`Simulator::captures`](netsim::Simulator::captures), stays the
 //! debugging path, and these folds are the same definitions the batch
 //! forms (`TraceHasher::hash_records`, `check_trace`,
 //! `ThroughputSampler::from_records`) loop over.
@@ -123,7 +124,7 @@ mod tests {
     use crate::paper::PaperNetwork;
     use crate::Scenario;
     use mptcpsim::CcAlgo;
-    use netsim::{FaultSchedule, Simulator};
+    use netsim::{CaptureBuffer, FaultSchedule, Simulator};
     use simbase::{SimDuration, SimTime};
     use simtrace::{check_trace, default_invariants};
 
@@ -151,11 +152,11 @@ mod tests {
     }
 
     /// `s`'s simulator, built as `Scenario::run` builds it; with
-    /// `buffered`, its collector is removed so records go to the buffer.
+    /// `buffered`, a fresh buffer replaces its collector.
     fn build(s: &Scenario, buffered: bool) -> Simulator {
         let mut sim = s.build_sim().0.into_simulator();
         if buffered {
-            assert!(sim.take_capture_sink().is_some());
+            sim.set_capture_sink(Box::new(CaptureBuffer::default()));
         }
         sim
     }
@@ -171,7 +172,8 @@ mod tests {
 
     fn collector(sim: &Simulator) -> &Collector {
         sim.capture_sink()
-            .and_then(|sink| sink.as_any().downcast_ref::<Collector>())
+            .as_any()
+            .downcast_ref::<Collector>()
             .expect("collector sink")
     }
 
@@ -279,26 +281,5 @@ mod tests {
 
         let result = base.checkpoint_at(at).branch_run(&faults, None);
         assert_result_matches(&base, &result, &cold);
-    }
-
-    #[test]
-    fn worldgen_runners_buffer_nothing() {
-        // Every runner reads back through `MptcpSim::collector`, which
-        // debug-asserts an empty capture buffer: a record that bypassed
-        // the collector fails these runs.
-        use crate::worldexp::{run_fabric, run_traffic, FabricCell, SubflowSelector, TrafficCell};
-        run_fabric(&FabricCell {
-            duration: SimDuration::from_millis(100),
-            regions: 2,
-            ..FabricCell::table(0, SubflowSelector::Ecmp)
-        });
-        run_traffic(&TrafficCell {
-            duration: SimDuration::from_millis(200),
-            ..TrafficCell::table(10, 1)
-        });
-        let (mut sim, _) = paper(CcAlgo::Cubic).build_sim();
-        sim.run(SimTime::from_millis(500), 1, None);
-        assert!(sim.captures().is_empty());
-        assert!(sim.collector().trace_hash() != TraceHasher::new().finish());
     }
 }

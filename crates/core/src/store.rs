@@ -29,7 +29,7 @@ use crate::scenario::{QueueEngine, RunResult, Scenario};
 use lpsolve::{LinearProgram, LpCache, MaxThroughput, Sense};
 use mptcpsim::{CcAlgo, SchedulerKind};
 use netsim::{FaultAction, LinkId, QueueConfig};
-use simbase::{Bandwidth, SimDuration, SimTime};
+use simbase::{Bandwidth, Fnv64, SimDuration, SimTime};
 use simtrace::{ConvergenceReport, TimeSeries};
 use std::collections::BTreeSet;
 use std::io::Write as _;
@@ -54,20 +54,17 @@ const MAGIC: &[u8; 4] = b"OVRS";
 // Canonical scenario digest
 // ---------------------------------------------------------------------------
 
-/// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms and
-/// Rust versions (unlike `DefaultHasher`, whose algorithm is unspecified).
-struct Fnv(u64);
+/// The scenario digest's field encoder over [`Fnv64`]: integers are
+/// absorbed big-endian.
+struct Fnv(Fnv64);
 
 impl Fnv {
     fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(Fnv64::new())
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0.write_bytes(bytes);
     }
 
     fn u8(&mut self, v: u8) {
@@ -162,7 +159,7 @@ impl Fnv {
     }
 
     fn finish(self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 

@@ -33,19 +33,16 @@
 //! * [`ode`] — the fixed-step RK4 stepper.
 //! * [`run`] — [`solve`]: equilibrium / limit-cycle / divergence detection
 //!   and the [`FluidRun`] result mirroring `overlap_core`'s `RunResult`.
-//! * [`digest`] — stable FNV-1a hashing of results for determinism checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod digest;
 pub mod dynamics;
 pub mod law;
 pub mod model;
 pub mod ode;
 pub mod run;
 
-pub use digest::Fnv64;
 pub use dynamics::{Dynamics, FluidParams};
 pub use law::FluidLaw;
 pub use model::{FluidLink, FluidModel};

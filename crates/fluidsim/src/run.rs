@@ -18,11 +18,11 @@
 //! where the two overlap: per-path rates, aggregate, convergence time,
 //! plus a bit-exact digest for double-run determinism checks.
 
-use crate::digest::Fnv64;
 use crate::dynamics::{Dynamics, FluidParams};
 use crate::law::FluidLaw;
 use crate::model::FluidModel;
 use crate::ode::Rk4;
+use simbase::Fnv64;
 
 /// How a fluid integration ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

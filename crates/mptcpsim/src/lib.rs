@@ -427,3 +427,74 @@ mod e2e_tests {
         assert_ne!(run(42).2, 0);
     }
 }
+
+#[cfg(all(test, feature = "check"))]
+mod segment_check_tests {
+    //! Segments an agent cannot use are invariant violations under `check`.
+    use super::*;
+    use netsim::{Agent, AgentId, Ctx, Ecn, NodeId, Packet, Payload, Protocol, Tag};
+    use simbase::{SimTime, Xoshiro256StarStar};
+    use tcpsim::{TcpFlags, TcpSegment};
+
+    /// Hand `agent` one TCP packet carrying `payload`, outside a simulator.
+    fn deliver(agent: &mut dyn Agent, payload: Payload) {
+        let mut rng = Xoshiro256StarStar::new(1);
+        let (mut effects, mut next_id) = (Vec::new(), 0);
+        let mut ctx = Ctx::new(
+            SimTime::ZERO,
+            NodeId(0),
+            AgentId(0),
+            &mut rng,
+            &mut effects,
+            &mut next_id,
+        );
+        let pkt = Packet {
+            id: 0,
+            src: NodeId(1),
+            dst: NodeId(0),
+            tag: Tag(1),
+            protocol: Protocol::Tcp,
+            payload,
+            data_len: 0,
+            flow_hash: 0,
+            ecn: Ecn::NotEct,
+        };
+        agent.on_packet(&mut ctx, pkt);
+    }
+
+    fn sender() -> MptcpSenderAgent {
+        let subflow = SubflowConfig {
+            tag: Tag(1),
+            src_port: 5000,
+            dst_port: 80,
+        };
+        MptcpSenderAgent::new(MptcpConfig::bulk(NodeId(1), vec![subflow]))
+    }
+
+    #[test]
+    #[should_panic(expected = "mptcp.sender: bad segment: segment truncated")]
+    fn sender_rejects_an_undecodable_segment() {
+        deliver(&mut sender(), Payload::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "mptcp.sender: ACK for unknown subflow port 5001")]
+    fn sender_rejects_an_ack_for_an_unknown_subflow() {
+        let ack = TcpSegment {
+            src_port: 80,
+            dst_port: 5001,
+            flags: TcpFlags {
+                ack: true,
+                ..TcpFlags::default()
+            },
+            ..TcpSegment::default()
+        };
+        deliver(&mut sender(), ack.encode());
+    }
+
+    #[test]
+    #[should_panic(expected = "mptcp.receiver: bad segment: segment truncated")]
+    fn receiver_rejects_an_undecodable_segment() {
+        deliver(&mut MptcpReceiverAgent::default(), Payload::empty());
+    }
+}

@@ -9,10 +9,9 @@
 
 use crate::dsn::IntervalSet;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
-use simbase::LogLevel;
 use std::collections::BTreeMap;
 use tcpsim::wire::{DssOption, TcpSegment};
-use tcpsim::{ReceiverConfig, TcpReceiver};
+use tcpsim::{reject_segment, ReceiverConfig, TcpReceiver};
 
 /// Connection-level receiver statistics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -92,12 +91,7 @@ impl Agent for MptcpReceiverAgent {
         let seg = match TcpSegment::decode(&pkt.payload) {
             Ok(seg) => seg,
             Err(e) => {
-                ctx.log.log(
-                    ctx.now(),
-                    LogLevel::Warn,
-                    "mptcp.receiver",
-                    format!("bad segment: {e}"),
-                );
+                reject_segment("mptcp.receiver", format_args!("bad segment: {e}"));
                 return;
             }
         };

@@ -21,9 +21,9 @@ use crate::dsn::{Mapping, MappingTable};
 use crate::scheduler::{Assignment, Scheduler, SchedulerKind, SubflowSnapshot};
 use netsim::packet::Ecn;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
-use simbase::{LogLevel, SimDuration, SimRng, SimTime};
+use simbase::{SimDuration, SimRng, SimTime};
 use tcpsim::wire::{DssOption, TcpSegment};
-use tcpsim::{flow_hash, AppSource, TcpConfig, TcpSender};
+use tcpsim::{flow_hash, reject_segment, AppSource, TcpConfig, TcpSender};
 
 /// Per-subflow configuration: the tag pins the route; the ports identify
 /// the subflow (ndiffports-style).
@@ -461,12 +461,7 @@ impl Agent for MptcpSenderAgent {
         let seg = match TcpSegment::decode(&pkt.payload) {
             Ok(seg) => seg,
             Err(e) => {
-                ctx.log.log(
-                    ctx.now(),
-                    LogLevel::Warn,
-                    "mptcp.sender",
-                    format!("bad segment: {e}"),
-                );
+                reject_segment("mptcp.sender", format_args!("bad segment: {e}"));
                 return;
             }
         };
@@ -479,11 +474,9 @@ impl Agent for MptcpSenderAgent {
             .iter()
             .position(|s| s.cfg.src_port == seg.dst_port)
         else {
-            ctx.log.log(
-                ctx.now(),
-                LogLevel::Warn,
+            reject_segment(
                 "mptcp.sender",
-                format!("ACK for unknown subflow port {}", seg.dst_port),
+                format_args!("ACK for unknown subflow port {}", seg.dst_port),
             );
             return;
         };

@@ -10,7 +10,7 @@
 
 use crate::packet::{Ecn, NodeId, Packet, Protocol, Tag};
 use crate::payload::Payload;
-use simbase::{EventLog, SimDuration, SimTime, Xoshiro256StarStar};
+use simbase::{SimDuration, SimTime, Xoshiro256StarStar};
 use std::fmt;
 
 /// Index of a registered agent.
@@ -45,7 +45,7 @@ pub trait Agent: Send {
     /// deadline on any timer; that keeps them testable standalone.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64);
 
-    /// Diagnostic name used in logs.
+    /// Diagnostic name used in panic messages.
     fn name(&self) -> String {
         "agent".to_string()
     }
@@ -95,8 +95,6 @@ pub struct Ctx<'a> {
     /// draws depend only on its own call sequence — never on how agent
     /// callbacks interleave across the network or across regions.
     pub rng: &'a mut Xoshiro256StarStar,
-    /// The simulation-wide event log.
-    pub log: &'a mut EventLog,
     effects: &'a mut Vec<Effect>,
     next_packet_id: &'a mut u64,
 }
@@ -109,7 +107,6 @@ impl<'a> Ctx<'a> {
         node: NodeId,
         agent: AgentId,
         rng: &'a mut Xoshiro256StarStar,
-        log: &'a mut EventLog,
         effects: &'a mut Vec<Effect>,
         next_packet_id: &'a mut u64,
     ) -> Self {
@@ -118,7 +115,6 @@ impl<'a> Ctx<'a> {
             node,
             agent,
             rng,
-            log,
             effects,
             next_packet_id,
         }
@@ -214,11 +210,9 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simbase::LogLevel;
 
     fn with_ctx<R>(f: impl FnOnce(&mut Ctx<'_>) -> R) -> (R, Vec<Effect>, u64) {
         let mut rng = Xoshiro256StarStar::new(1);
-        let mut log = EventLog::new(LogLevel::Trace);
         let mut effects = Vec::new();
         let mut next_id = 7;
         let r = {
@@ -227,7 +221,6 @@ mod tests {
                 NodeId(2),
                 AgentId(0),
                 &mut rng,
-                &mut log,
                 &mut effects,
                 &mut next_id,
             );

@@ -3,10 +3,11 @@
 //! The paper measures throughput by capturing at the destination with tshark
 //! and filtering by tag. [`CaptureConfig`] selects which nodes and which
 //! event kinds to record; the simulator produces a [`CaptureRecord`] per
-//! matching event. With a [`CaptureSink`] installed, each record is handed
-//! to the sink as it is produced and nothing is kept; without one, records
-//! are appended to a buffer (the debugging path). `simtrace` turns the
-//! record stream into per-tag throughput time series.
+//! matching event and hands it to the simulator's one [`CaptureSink`] as it
+//! is produced. The default sink is a [`CaptureBuffer`], which keeps every
+//! record (the debugging path); an online sink folds records and keeps
+//! nothing. `simtrace` turns the record stream into per-tag throughput time
+//! series.
 
 use crate::packet::{LinkId, NodeId, PacketMeta};
 use simbase::SimTime;
@@ -58,6 +59,26 @@ pub trait CaptureSink: Send {
 
     /// Downcast hook, so the installer can read its results back.
     fn as_any(&self) -> &dyn Any;
+}
+
+/// The sink that keeps every record, in order: what a simulator captures
+/// into until another sink is installed (read it back with
+/// [`Simulator::captures`](crate::Simulator::captures)).
+#[derive(Debug, Clone, Default)]
+pub struct CaptureBuffer(pub(crate) Vec<CaptureRecord>);
+
+impl CaptureSink for CaptureBuffer {
+    fn record(&mut self, rec: &CaptureRecord) {
+        self.0.push(rec.clone());
+    }
+
+    fn clone_boxed(&self) -> Box<dyn CaptureSink> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
 }
 
 /// Which events to record.

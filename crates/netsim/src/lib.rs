@@ -15,8 +15,8 @@
 //! * [`agent`] — the sans-IO endpoint interface protocol stacks implement.
 //! * [`sim`] — the event loop tying it all together.
 //! * [`faults`] — declarative timed network mutations (failover etc.).
-//! * [`capture`] / [`stats`] — tshark-style records (streamed to a
-//!   [`CaptureSink`] or buffered) and counters.
+//! * [`capture`] / [`stats`] — tshark-style records (streamed to one
+//!   [`CaptureSink`], by default a [`CaptureBuffer`]) and counters.
 //!
 //! The simulator is single-threaded and deterministic: a topology, agent
 //! set, and seed fully determine every event. See the workspace DESIGN.md
@@ -40,7 +40,7 @@ pub mod topology;
 pub mod traffic;
 
 pub use agent::{Agent, AgentId, Ctx, Effect};
-pub use capture::{CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
+pub use capture::{CaptureBuffer, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
 pub use faults::{FaultAction, FaultSchedule};
 pub use packet::{Dir, Ecn, LinkId, NodeId, Packet, PacketMeta, Protocol, Tag, IP_HEADER_BYTES};
 pub use partition::{partition_from_map, partition_topology, static_delay_floors, Partition};

@@ -26,16 +26,14 @@
 //! still produce a byte-identical trace.
 
 use crate::agent::{Agent, AgentId, Ctx, Effect};
-use crate::capture::{CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
+use crate::capture::{CaptureBuffer, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
 use crate::faults::{FaultAction, FaultSchedule};
 use crate::packet::{Dir, LinkId, NodeId, Packet, PacketMeta};
 use crate::queue::{EnqueueResult, Queue};
 use crate::routing::RoutingTables;
 use crate::stats::{LinkDirStats, SimStats};
 use crate::topology::Topology;
-use simbase::{
-    EventLog, EventQueue, LogLevel, SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar,
-};
+use simbase::{EventQueue, SimDuration, SimRng, SimTime, SplitMix64, Xoshiro256StarStar};
 
 mod parallel;
 
@@ -153,6 +151,11 @@ const STREAM_DIR: u64 = 2 << 32;
 /// partitioned.
 const PACKET_ID_SHIFT: u32 = 40;
 
+/// A capture record's canonical position in a run: `(time, event key,
+/// intra-event index)`. Live event keys are unique per timestamp, so this
+/// is a total order — the serial run's record order.
+type CaptureStamp = (SimTime, u64, u32);
+
 /// The packet-level network simulator.
 pub struct Simulator {
     topo: Topology,
@@ -177,19 +180,13 @@ pub struct Simulator {
     arrive_seq: Vec<[u64; 2]>,
     /// Faults installed so far — the `local` part of fault keys.
     fault_seq: u64,
-    /// Simulation-wide event log (agents write through `Ctx`).
-    pub log: EventLog,
     capture_cfg: CaptureConfig,
-    /// Online consumer of capture records; when set, nothing is buffered
-    /// (regions of a partitioned run never hold one — see `record_meta`).
-    sink: Option<Box<dyn CaptureSink>>,
-    /// Records kept when no sink is installed, and always in a region.
-    captures: Vec<CaptureRecord>,
-    /// Per-record provenance stamp `(event key, intra-event index)`,
-    /// parallel to `captures` in region simulators only (empty on the
-    /// serial path): the canonical position of the record in the run, used
-    /// to merge region capture streams into serial order.
-    capture_ord: Vec<(u64, u32)>,
+    /// Where every capture record goes (a [`CaptureBuffer`] by default).
+    /// A region of a partitioned run never feeds it — see `record_meta`.
+    sink: Box<dyn CaptureSink>,
+    /// A region simulator's records with their [`CaptureStamp`]s, so the
+    /// merge can restore serial order. Empty on the serial path.
+    region_captures: Vec<(CaptureStamp, CaptureRecord)>,
     /// Canonical key of the event currently being executed.
     cur_key: u64,
     /// Capture records emitted so far by the current event.
@@ -289,11 +286,9 @@ impl Simulator {
             agent_packet_seq: Vec::new(),
             arrive_seq,
             fault_seq: 0,
-            log: EventLog::new(LogLevel::Warn),
             capture_cfg: CaptureConfig::off(),
-            sink: None,
-            captures: Vec::new(),
-            capture_ord: Vec::new(),
+            sink: Box::new(CaptureBuffer::default()),
+            region_captures: Vec::new(),
             cur_key: 0,
             cur_sub: 0,
             stats: SimStats::default(),
@@ -323,21 +318,16 @@ impl Simulator {
         self.capture_cfg = cfg;
     }
 
-    /// Deliver every capture record to `sink` as it is produced instead of
-    /// buffering it (see [`CaptureSink`]). Install before the run starts:
-    /// records already buffered stay in [`Simulator::captures`].
+    /// Deliver every capture record to `sink` as it is produced (see
+    /// [`CaptureSink`]), replacing the current sink and whatever it held.
+    /// Install before the run starts.
     pub fn set_capture_sink(&mut self, sink: Box<dyn CaptureSink>) {
-        self.sink = Some(sink);
+        self.sink = sink;
     }
 
-    /// The installed capture sink, if any.
-    pub fn capture_sink(&self) -> Option<&dyn CaptureSink> {
-        self.sink.as_deref()
-    }
-
-    /// Remove the capture sink; later records go to the buffer again.
-    pub fn take_capture_sink(&mut self) -> Option<Box<dyn CaptureSink>> {
-        self.sink.take()
+    /// The installed capture sink.
+    pub fn capture_sink(&self) -> &dyn CaptureSink {
+        self.sink.as_ref()
     }
 
     /// Add up to `jitter` of uniform random delay to every packet's
@@ -346,11 +336,6 @@ impl Simulator {
     /// between flows and makes distinct seeds produce distinct runs.
     pub fn set_forward_jitter(&mut self, jitter: SimDuration) {
         self.forward_jitter = jitter;
-    }
-
-    /// Set the log verbosity.
-    pub fn set_log_level(&mut self, level: LogLevel) {
-        self.log = EventLog::new(level);
     }
 
     /// Attach an agent to `node`, starting at `start`. One agent per node.
@@ -442,15 +427,13 @@ impl Simulator {
         pkt
     }
 
-    /// Capture records buffered so far (empty while a sink is installed).
+    /// Capture records buffered so far: the default [`CaptureBuffer`]'s
+    /// contents, or empty while another sink is installed.
     pub fn captures(&self) -> &[CaptureRecord] {
-        &self.captures
-    }
-
-    /// Take ownership of the capture records (clears the buffer).
-    pub fn take_captures(&mut self) -> Vec<CaptureRecord> {
-        self.capture_ord.clear();
-        std::mem::take(&mut self.captures)
+        self.sink
+            .as_any()
+            .downcast_ref::<CaptureBuffer>()
+            .map_or(&[], |buffer| &buffer.0)
     }
 
     /// Packets currently inside the network.
@@ -499,11 +482,11 @@ impl Simulator {
     /// cancellation-token table, and lifetime push/cancel counters), every
     /// agent (via [`Agent::clone_boxed`]), per-entity RNG streams, link
     /// transmitters and queues, the wire pool, the capture sink's state
-    /// (via [`CaptureSink::clone_boxed`]) or the buffered capture records,
-    /// and all statistics. Because the execution is a pure function of that
-    /// state (see the module docs on schedule-independent ordering), a
-    /// restored simulator replays the identical event sequence — trace
-    /// hashes of a branched continuation match a cold run byte-for-byte.
+    /// (via [`CaptureSink::clone_boxed`]), and all statistics. Because the
+    /// execution is a pure function of that state (see the module docs on
+    /// schedule-independent ordering), a restored simulator replays the
+    /// identical event sequence — trace hashes of a branched continuation
+    /// match a cold run byte-for-byte.
     ///
     /// Only the serial path can checkpoint: panics if this simulator is a
     /// region of a partitioned run (checkpoint before `run_parallel`, or
@@ -559,11 +542,9 @@ impl Simulator {
             agent_packet_seq: self.agent_packet_seq.clone(),
             arrive_seq: self.arrive_seq.clone(),
             fault_seq: self.fault_seq,
-            log: self.log.clone(),
             capture_cfg: self.capture_cfg.clone(),
-            sink: self.sink.as_ref().map(|s| s.clone_boxed()),
-            captures: self.captures.clone(),
-            capture_ord: self.capture_ord.clone(),
+            sink: self.sink.clone_boxed(),
+            region_captures: Vec::new(),
             cur_key: self.cur_key,
             cur_sub: self.cur_sub,
             stats: self.stats,
@@ -731,46 +712,12 @@ impl Simulator {
     fn apply_fault(&mut self, action: FaultAction) {
         match action {
             FaultAction::LinkDown(link) => self.on_link_down(link),
-            FaultAction::LinkUp(link) => {
-                self.links[link.0 as usize].up = true;
-                self.log
-                    .log(self.now, LogLevel::Info, "sim", format!("{link:?} up"));
-            }
-            FaultAction::SetCapacity(link, cap) => {
-                self.topo.set_link_capacity(link, cap);
-                self.log.log(
-                    self.now,
-                    LogLevel::Info,
-                    "sim",
-                    format!("{link:?} capacity -> {} bps", cap.as_bps()),
-                );
-            }
-            FaultAction::SetDelay(link, delay) => {
-                self.topo.set_link_delay(link, delay);
-                self.log.log(
-                    self.now,
-                    LogLevel::Info,
-                    "sim",
-                    format!("{link:?} delay -> {delay}"),
-                );
-            }
-            FaultAction::SetLoss(link, rate) => {
-                self.topo.set_link_loss(link, rate);
-                self.log.log(
-                    self.now,
-                    LogLevel::Info,
-                    "sim",
-                    format!("{link:?} loss -> {rate}"),
-                );
-            }
+            FaultAction::LinkUp(link) => self.links[link.0 as usize].up = true,
+            FaultAction::SetCapacity(link, cap) => self.topo.set_link_capacity(link, cap),
+            FaultAction::SetDelay(link, delay) => self.topo.set_link_delay(link, delay),
+            FaultAction::SetLoss(link, rate) => self.topo.set_link_loss(link, rate),
             FaultAction::SetQueue(link, cfg) => {
                 self.topo.set_link_queue(link, cfg);
-                self.log.log(
-                    self.now,
-                    LogLevel::Info,
-                    "sim",
-                    format!("{link:?} queue reconfigured"),
-                );
                 // Rebuild both directions' queues: re-offer the buffered
                 // packets to the new queue in FIFO order; packets the new
                 // (possibly smaller) queue refuses are accounted as drops,
@@ -808,8 +755,6 @@ impl Simulator {
     }
 
     fn on_link_down(&mut self, link: LinkId) {
-        self.log
-            .log(self.now, LogLevel::Info, "sim", format!("{link:?} down"));
         let mut lost_sizes: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
         {
             let rt = &mut self.links[link.0 as usize];
@@ -865,7 +810,6 @@ impl Simulator {
                 node,
                 id,
                 &mut self.agent_rngs[id.0 as usize],
-                &mut self.log,
                 &mut effects,
                 &mut self.agent_packet_seq[id.0 as usize],
             );
@@ -959,12 +903,6 @@ impl Simulator {
             None => {
                 self.stats.packets_unroutable += 1;
                 self.in_flight -= 1;
-                self.log.log(
-                    self.now,
-                    LogLevel::Warn,
-                    "sim",
-                    format!("no route for {pkt:?} at {node:?}"),
-                );
                 self.record(node, CaptureKind::Unroutable, None, &pkt);
             }
         }
@@ -1001,19 +939,10 @@ impl Simulator {
                     let (p, b) = (state.queue.len_packets(), state.queue.len_bytes());
                     self.dir_stats(link, dir).observe_queue(p, b);
                 }
-                EnqueueResult::Dropped(reason) => {
+                EnqueueResult::Dropped(_) => {
                     self.stats.packets_dropped += 1;
                     self.in_flight -= 1;
                     self.dir_stats(link, dir).on_drop(meta.wire_size);
-                    self.log.log(
-                        self.now,
-                        LogLevel::Debug,
-                        "sim",
-                        format!(
-                            "drop({reason:?}) pkt#{} on {link:?}/{dir:?} at {from:?}",
-                            meta.id
-                        ),
-                    );
                     if self.capture_cfg.wants(from, CaptureKind::Dropped) {
                         self.record_meta(from, CaptureKind::Dropped, Some(link), meta);
                     }
@@ -1126,11 +1055,10 @@ impl Simulator {
         }
     }
 
-    /// Emit one capture record: to the sink when one is installed,
-    /// otherwise to the buffer. A region of a partitioned run always
-    /// buffers, stamping each record with its canonical position
-    /// `(current event key, intra-event index)` so the merge can restore
-    /// exact serial order before the parent's sink sees anything.
+    /// Emit one capture record to the sink. A region of a partitioned run
+    /// keeps it instead, stamped with its canonical position (see
+    /// [`CaptureStamp`]), so the merge can restore exact serial order
+    /// before the parent's sink sees anything.
     fn record_meta(
         &mut self,
         node: NodeId,
@@ -1146,13 +1074,11 @@ impl Simulator {
             pkt,
         };
         if self.node_region.is_some() {
-            self.captures.push(rec);
-            self.capture_ord.push((self.cur_key, self.cur_sub));
+            self.region_captures
+                .push(((rec.time, self.cur_key, self.cur_sub), rec));
             self.cur_sub += 1;
-        } else if let Some(sink) = &mut self.sink {
-            sink.record(&rec);
         } else {
-            self.captures.push(rec);
+            self.sink.record(&rec);
         }
     }
 }
@@ -1160,8 +1086,9 @@ impl Simulator {
 /// Snapshot format version. Bumped whenever the captured state set changes
 /// meaning (restore refuses a mismatched snapshot rather than silently
 /// resuming from partial state). v2: a snapshot holds the capture sink's
-/// state instead of the record history when a sink is installed.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// state instead of the record history when a sink is installed. v3: the
+/// sink is the only capture state (the record buffer is itself a sink).
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A versioned, self-contained copy of a simulator's full deterministic
 /// state at one instant, produced by [`Simulator::checkpoint`].

@@ -30,18 +30,14 @@
 //! deadline remain parked in the (discarded) region queues, so the
 //! simulator cannot be stepped further afterwards. All end-of-run
 //! accounting (stats, captures, link state, agent state) is merged back
-//! exactly — captures in serial order, into the parent's sink when it has
-//! one; only the event log's interleaving of *equal-time* records may
-//! differ from a serial run, and a duplicated fault action logs once per
-//! endpoint region.
+//! exactly — captures in serial order, into the parent's sink.
 
 use super::{Event, Simulator};
 use crate::agent::AgentId;
-use crate::capture::CaptureRecord;
 use crate::faults::FaultAction;
 use crate::packet::{Dir, LinkId, Packet};
 use crate::partition::{partition_from_map, partition_topology, static_delay_floors, Partition};
-use simbase::{EventLog, LogRecord, ScheduledEvent, SimDuration, SimTime};
+use simbase::{ScheduledEvent, SimDuration, SimTime};
 use std::sync::mpsc;
 
 /// A message from one region to another.
@@ -249,7 +245,6 @@ impl Simulator {
         sim.node_agent = self.node_agent.clone();
         sim.capture_cfg = self.capture_cfg.clone();
         sim.forward_jitter = self.forward_jitter;
-        sim.log = EventLog::new(self.log.min_level());
         sim.region = region;
         sim.node_region = Some(part.node_region.clone());
         sim.outbox = (0..n_regions).map(|_| Vec::new()).collect();
@@ -414,35 +409,15 @@ impl Simulator {
             self.topo.set_link_queue(l, spec.queue);
         }
 
-        // Captures merge into exact serial order: every record was stamped
-        // with (event canonical key, intra-event index), and live keys are
-        // unique per timestamp, so (time, key, sub) is a total order. The
-        // merged stream then goes where a serial run would have sent each
-        // record: into the sink when one is installed, else the buffer.
-        let mut tagged: Vec<((SimTime, u64, u32), CaptureRecord)> = Vec::new();
-        for sim in &mut regions {
-            let recs = std::mem::take(&mut sim.captures);
-            let ords = std::mem::take(&mut sim.capture_ord);
-            debug_assert_eq!(recs.len(), ords.len());
-            for (rec, (key, sub)) in recs.into_iter().zip(ords) {
-                tagged.push(((rec.time, key, sub), rec));
-            }
-        }
-        tagged.sort_unstable_by_key(|entry| entry.0);
-        match &mut self.sink {
-            Some(sink) => tagged.iter().for_each(|(_, rec)| sink.record(rec)),
-            None => self.captures.extend(tagged.into_iter().map(|(_, rec)| rec)),
-        }
-
-        // Logs merge chronologically (stable within a region; equal-time
-        // interleaving across regions is diagnostic-only, see module doc).
-        let mut recs: Vec<LogRecord> = Vec::new();
-        for sim in &mut regions {
-            recs.append(&mut sim.log.take_records());
-        }
-        recs.sort_by_key(|rec| rec.time);
-        for rec in recs {
-            self.log.push_record(rec);
+        // Captures merge into exact serial order by their stamps (a total
+        // order) and go to the parent's sink, as a serial run would send them.
+        let mut stamped: Vec<_> = regions
+            .iter_mut()
+            .flat_map(|sim| std::mem::take(&mut sim.region_captures))
+            .collect();
+        stamped.sort_unstable_by_key(|entry| entry.0);
+        for (_, rec) in &stamped {
+            self.sink.record(rec);
         }
     }
 }
@@ -451,7 +426,7 @@ impl Simulator {
 mod tests {
     use super::super::order;
     use crate::agent::{Agent, Ctx};
-    use crate::capture::{CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
+    use crate::capture::{CaptureBuffer, CaptureConfig, CaptureKind, CaptureRecord, CaptureSink};
     use crate::packet::{NodeId, Packet, Protocol, Tag};
     use crate::payload::Payload;
     use crate::queue::QueueConfig;
@@ -544,6 +519,9 @@ mod tests {
         serial.run_until(deadline);
         let mut par = build();
         par.run_parallel_with_map(deadline, &[0, 0, 1, 1]);
+        // The merge fed the default sink, the buffer `captures()` reads.
+        assert!(par.capture_sink().as_any().is::<CaptureBuffer>());
+        assert!(!par.captures().is_empty());
         assert_eq!(capture_fingerprint(&serial), capture_fingerprint(&par));
         assert_eq!(serial.stats().events, par.stats().events);
         assert_eq!(serial.stats().packets_sent, par.stats().packets_sent);
@@ -616,7 +594,7 @@ mod tests {
     }
 
     fn sink_fingerprint(sim: &Simulator) -> Vec<(SimTime, NodeId, CaptureKind, u64)> {
-        let sink = sim.capture_sink().expect("sink installed");
+        let sink = sim.capture_sink();
         let prints = sink.as_any().downcast_ref::<Fingerprints>().unwrap();
         prints.0.clone()
     }
@@ -634,9 +612,10 @@ mod tests {
         buffered.run_until(deadline);
         assert!(!buffered.captures().is_empty());
         // A serial run stamps no merge positions: nothing reads them.
-        assert!(buffered.capture_ord.is_empty());
+        assert!(buffered.region_captures.is_empty());
         let mut streamed = build_with_sink();
         streamed.run_until(deadline);
+        // `captures()` reads only the default buffer, which was replaced.
         assert!(streamed.captures().is_empty());
         assert_eq!(sink_fingerprint(&streamed), capture_fingerprint(&buffered));
     }
@@ -650,7 +629,7 @@ mod tests {
         par.schedule_link_down(crate::packet::LinkId(1), SimTime::from_millis(30));
         par.schedule_link_up(crate::packet::LinkId(1), SimTime::from_millis(60));
         par.run_parallel_with_map(deadline, &[0, 0, 1, 1]);
-        assert!(par.captures().is_empty() && par.capture_ord.is_empty());
+        assert!(par.captures().is_empty() && par.region_captures.is_empty());
         let mut faulted = build();
         faulted.schedule_link_down(crate::packet::LinkId(1), SimTime::from_millis(30));
         faulted.schedule_link_up(crate::packet::LinkId(1), SimTime::from_millis(60));
@@ -667,7 +646,7 @@ mod tests {
         let mut prefix = build_with_sink();
         prefix.run_until(mid);
         let snapshot = prefix.checkpoint();
-        assert!(snapshot.sim.captures.is_empty());
+        assert!(snapshot.sim.captures().is_empty());
         for _ in 0..2 {
             let mut branch = Simulator::restore(&snapshot);
             branch.run_until(end);
@@ -676,10 +655,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot restore v1")]
-    fn restore_rejects_a_v1_snapshot() {
+    #[should_panic(expected = "cannot restore v2")]
+    fn restore_rejects_a_v2_snapshot() {
         let snapshot = crate::sim::SimSnapshot {
-            version: 1,
+            version: 2,
             sim: build(),
         };
         let _ = Simulator::restore(&snapshot);

@@ -1,10 +1,13 @@
 //! Stable hashing for determinism checks.
 //!
-//! `std`'s default hasher is randomly keyed per process, which is exactly
-//! what a reproducibility digest must not be. This is FNV-1a/64 — fixed
-//! constants, byte-order pinned to little endian, no state outside the
-//! accumulator — so the digest of a [`crate::FluidRun`] is comparable
-//! across runs, processes and machines.
+//! `std`'s default hasher is randomly keyed per process and its algorithm
+//! is unspecified, which is exactly what a reproducibility digest must not
+//! be. This is FNV-1a/64 — fixed constants, no state outside the
+//! accumulator — so a digest is comparable across runs, processes, machines
+//! and compiler releases. It is for change *detection*, not a security
+//! boundary. One accumulator serves every digest in the workspace (trace
+//! hashes, the run store's scenario digest, fluid-run digests); each caller
+//! pins its own byte order by what it passes to [`Fnv64::write_bytes`].
 
 /// FNV-1a, 64-bit.
 #[derive(Debug, Clone, Copy)]
@@ -13,13 +16,18 @@ pub struct Fnv64(u64);
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+// The methods are `#[inline]` because the trace hash calls `write_u64` a
+// dozen times per capture record from another crate; out of line, each call
+// is a separate byte loop and the per-record hash cost doubles.
 impl Fnv64 {
     /// A fresh accumulator at the standard offset basis.
+    #[inline]
     pub fn new() -> Self {
         Fnv64(FNV_OFFSET)
     }
 
     /// Absorb raw bytes.
+    #[inline]
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
@@ -28,17 +36,20 @@ impl Fnv64 {
     }
 
     /// Absorb a `u64` (little-endian).
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
     }
 
     /// Absorb an `f64` bit pattern — exact, not approximate: two digests
     /// agree iff every hashed float is bit-identical.
+    #[inline]
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());
     }
 
     /// The accumulated digest.
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.0
     }

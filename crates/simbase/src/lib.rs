@@ -14,8 +14,8 @@
 //!   transmission-time computation in integer arithmetic.
 //! * [`SplitMix64`] / [`Xoshiro256StarStar`] — tiny, seedable, portable PRNGs
 //!   (no platform entropy) so every simulation is replayable from its seed.
-//! * [`EventLog`] — an optional, levelled trace ring for debugging protocol
-//!   state machines.
+//! * [`Fnv64`] — the FNV-1a/64 accumulator behind every stable digest
+//!   (trace hashes, scenario digests, fluid-run digests).
 //!
 //! Everything here is `no_std`-shaped in spirit (no I/O, no threads, no
 //! clocks); the simulator above it supplies all effects.
@@ -23,14 +23,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 pub mod event;
-pub mod log;
 pub mod rng;
 pub mod time;
 pub mod units;
 
+pub use digest::Fnv64;
 pub use event::{EventQueue, ScheduledEvent};
-pub use log::{EventLog, LogLevel, LogRecord};
 pub use rng::{SimRng, SplitMix64, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime};
 pub use units::{Bandwidth, ByteSize};

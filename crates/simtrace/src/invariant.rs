@@ -24,7 +24,7 @@
 //! in `mptcpsim`); this module is the trace-level, cross-crate complement.
 
 use netsim::{CaptureKind, CaptureRecord, Ecn, Protocol};
-use simbase::SimTime;
+use simbase::{Fnv64, SimTime};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -284,16 +284,11 @@ impl fmt::Debug for TraceChecker {
     }
 }
 
-/// Order-sensitive FNV-1a 64-bit digest over capture records.
-///
-/// Why not `std::hash`: `DefaultHasher`'s algorithm is explicitly
-/// unspecified and may change between compiler releases, and a determinism
-/// harness needs hashes that are comparable across builds. FNV-1a is fixed,
-/// trivial, and plenty for change *detection* (this is not a security
-/// boundary).
+/// Order-sensitive FNV-1a 64-bit digest over capture records
+/// ([`simbase::Fnv64`], each field absorbed as a little-endian `u64`).
 #[derive(Debug, Clone)]
 pub struct TraceHasher {
-    state: u64,
+    state: Fnv64,
     records: u64,
 }
 
@@ -304,22 +299,16 @@ impl Default for TraceHasher {
 }
 
 impl TraceHasher {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     /// A fresh hasher.
     pub fn new() -> Self {
         TraceHasher {
-            state: Self::OFFSET,
+            state: Fnv64::new(),
             records: 0,
         }
     }
 
     fn mix(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
+        self.state.write_u64(v);
     }
 
     /// Fold one record into the digest. Every field participates, so any
@@ -357,9 +346,9 @@ impl TraceHasher {
     /// The digest so far. Folds in the record count, so an empty trace and
     /// a trace whose records happen to cancel are distinguishable.
     pub fn finish(&self) -> u64 {
-        let mut tail = self.clone();
-        tail.mix(self.records);
-        tail.state
+        let mut tail = self.state;
+        tail.write_u64(self.records);
+        tail.finish()
     }
 
     /// Hash a whole slice of records in one call.

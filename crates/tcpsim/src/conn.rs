@@ -12,12 +12,28 @@ use crate::sender::{TcpConfig, TcpSender};
 use crate::wire::TcpSegment;
 use netsim::packet::Ecn;
 use netsim::{Agent, Ctx, NodeId, Packet, Protocol, Tag};
-use simbase::{LogLevel, SimTime};
+use simbase::SimTime;
 
 /// Timer tokens used by the TCP agents.
 const TOKEN_RTO: u64 = 1;
 const TOKEN_APP: u64 = 2;
 const TOKEN_DELACK: u64 = 3;
+
+/// A segment an agent cannot use — an undecodable payload, or an ACK no
+/// subflow owns. It means a peer or the forwarding plane handed the agent
+/// garbage, so under the `check` feature it is an invariant violation that
+/// names the agent and the error; without `check` the segment is dropped.
+/// `mptcpsim`'s agents report through here too (its `check` forwards to
+/// this crate's).
+#[cfg(feature = "check")]
+pub fn reject_segment(agent: &str, err: std::fmt::Arguments<'_>) {
+    // simlint: allow(panic-surface, reason = "documented `check` invariant: a segment no agent can use means the wire or a peer is corrupt")
+    panic!("{agent}: {err}");
+}
+
+/// See the `check` form: without `check` the segment is dropped.
+#[cfg(not(feature = "check"))]
+pub fn reject_segment(_agent: &str, _err: std::fmt::Arguments<'_>) {}
 
 /// Derive a stable flow hash from the port pair (for ECMP and traces).
 pub fn flow_hash(src_port: u16, dst_port: u16) -> u64 {
@@ -126,12 +142,7 @@ impl Agent for TcpSenderAgent {
         let seg = match TcpSegment::decode(&pkt.payload) {
             Ok(seg) => seg,
             Err(e) => {
-                ctx.log.log(
-                    ctx.now(),
-                    LogLevel::Warn,
-                    "tcp.sender",
-                    format!("bad segment: {e}"),
-                );
+                reject_segment("tcp.sender", format_args!("bad segment: {e}"));
                 return;
             }
         };
@@ -230,12 +241,7 @@ impl Agent for TcpReceiverAgent {
         let seg = match TcpSegment::decode(&pkt.payload) {
             Ok(seg) => seg,
             Err(e) => {
-                ctx.log.log(
-                    ctx.now(),
-                    LogLevel::Warn,
-                    "tcp.receiver",
-                    format!("bad segment: {e}"),
-                );
+                reject_segment("tcp.receiver", format_args!("bad segment: {e}"));
                 return;
             }
         };
@@ -288,5 +294,59 @@ impl Agent for TcpReceiverAgent {
 
     fn clone_boxed(&self) -> Box<dyn Agent> {
         Box::new(self.clone())
+    }
+}
+
+#[cfg(all(test, feature = "check"))]
+mod tests {
+    use super::*;
+    use netsim::{AgentId, Payload};
+    use simbase::Xoshiro256StarStar;
+
+    /// Hand `agent` one TCP packet carrying `payload`, outside a simulator.
+    fn deliver(agent: &mut dyn Agent, payload: Payload) {
+        let mut rng = Xoshiro256StarStar::new(1);
+        let (mut effects, mut next_id) = (Vec::new(), 0);
+        let mut ctx = Ctx::new(
+            SimTime::ZERO,
+            NodeId(1),
+            AgentId(0),
+            &mut rng,
+            &mut effects,
+            &mut next_id,
+        );
+        let pkt = Packet {
+            id: 0,
+            src: NodeId(0),
+            dst: NodeId(1),
+            tag: Tag(1),
+            protocol: Protocol::Tcp,
+            payload,
+            data_len: 0,
+            flow_hash: 0,
+            ecn: Ecn::NotEct,
+        };
+        agent.on_packet(&mut ctx, pkt);
+    }
+
+    #[test]
+    #[should_panic(expected = "tcp.sender: bad segment: segment truncated")]
+    fn sender_rejects_an_undecodable_segment() {
+        let cc = Box::new(crate::cc::Reno::new(14_600, 1460));
+        let mut agent = TcpSenderAgent::new(
+            TcpConfig::default(),
+            cc,
+            AppSource::Unlimited,
+            NodeId(1),
+            Tag(1),
+        );
+        deliver(&mut agent, Payload::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "tcp.receiver: bad segment: segment truncated")]
+    fn receiver_rejects_an_undecodable_segment() {
+        let mut agent = TcpReceiverAgent::new(ReceiverConfig::default(), Tag(1));
+        deliver(&mut agent, Payload::empty());
     }
 }

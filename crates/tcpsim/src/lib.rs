@@ -29,7 +29,7 @@ pub mod wire;
 
 pub use app::AppSource;
 pub use cc::{AckContext, CongestionControl, Cubic, LossContext, Reno, Vegas};
-pub use conn::{flow_hash, TcpReceiverAgent, TcpSenderAgent};
+pub use conn::{flow_hash, reject_segment, TcpReceiverAgent, TcpSenderAgent};
 pub use receiver::{ReceiverConfig, ReceiverStats, TcpReceiver};
 pub use rtt::RttEstimator;
 pub use sender::{AckResult, SegmentTx, SenderStats, TcpConfig, TcpSender};

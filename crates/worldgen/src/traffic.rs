@@ -117,14 +117,6 @@ impl TrafficProgram {
     pub fn total_bytes(&self) -> u64 {
         self.connections.iter().map(|c| c.size_bytes).sum()
     }
-
-    /// Arrival time of the last connection.
-    pub fn last_arrival(&self) -> SimTime {
-        self.connections
-            .last()
-            .map(|c| c.start)
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 /// Parameters of the shared-bottleneck substrate.
